@@ -497,6 +497,10 @@ class Ledger:
         """Flush pending writes to the file."""
         self._db.commit()
 
+    def rollback(self) -> None:
+        """Discard pending writes."""
+        self._db.rollback()
+
     def counts(self) -> dict[str, int]:
         """Row counts per record family."""
         db = self._db

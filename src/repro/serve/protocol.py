@@ -119,78 +119,106 @@ def action_to_dict(action: InvestigativeAction) -> dict:
     }
 
 
+#: Enum name -> member, built once: a plain dict lookup instead of the
+#: ``Enum[name]`` metaclass call on every decoded field.
+_ACTORS = dict(Actor.__members__)
+_DATA_KINDS = dict(DataKind.__members__)
+_TIMINGS = dict(Timing.__members__)
+_PLACES = dict(Place.__members__)
+_PROVIDER_ROLES = dict(ProviderRole.__members__)
+_CONSENT_SCOPES = dict(ConsentScope.__members__)
+
+#: Cap on each intern table below (entries).  A full table is cleared
+#: wholesale and refilled, like the server's encode memo, so hostile
+#: traffic with endlessly new parts cannot grow memory.
+INTERN_MAX = 4096
+
+# One frozen part per distinct tuple of *coerced* field values.  Parts
+# repeat heavily across traffic (36k distinct actions hold ~1,400
+# distinct contexts) while descriptions usually do not, so sharing the
+# parts saves most of the construction work without holding every
+# distinct action alive.
+_CONTEXTS: dict[tuple, EnvironmentContext] = {}
+_CONSENTS: dict[tuple, ConsentFacts] = {}
+_DOCTRINES: dict[tuple, DoctrineFacts] = {}
+
+
+def _intern(table: dict, key: tuple, part_type: type) -> Any:
+    part = table.get(key)
+    if part is None:
+        if len(table) >= INTERN_MAX:
+            table.clear()
+        part = table[key] = part_type(*key)
+    return part
+
+
 def action_from_dict(payload: dict) -> InvestigativeAction:
     """Rebuild an action that compares equal to (and fingerprints
     identically to) the encoded one.
 
+    The context, consent and doctrine parts are shared between actions
+    whose coerced field values are equal; the parts are frozen, so the
+    sharing is invisible to every consumer.
+
     Raises:
-        ProtocolError: On missing fields or unknown enum names.
+        ProtocolError: On missing fields, unknown enum names or
+            unhashable enum values.
     """
     try:
         context = payload["context"]
         consent = payload["consent"]
         doctrine = payload["doctrine"]
         provider_role = context["provider_role"]
+        description = str(payload["description"])
+        actor = _ACTORS[payload["actor"]]
+        data_kind = _DATA_KINDS[payload["data_kind"]]
+        timing = _TIMINGS[payload["timing"]]
+        # Each key lists its part's fields in declaration order, so it
+        # doubles as the part's positional constructor arguments.
+        context_key = (
+            _PLACES[context["place"]],
+            bool(context["encrypted"]),
+            bool(context["knowingly_exposed"]),
+            bool(context["shared_with_others"]),
+            bool(context["delivered_to_recipient"]),
+            (
+                None
+                if (serves_public := context["provider_serves_public"])
+                is None
+                else bool(serves_public)
+            ),
+            None if provider_role is None else _PROVIDER_ROLES[provider_role],
+            bool(context["policy_eliminates_rep"]),
+            bool(context["home_interior"]),
+            bool(context["technology_in_general_public_use"]),
+            bool(context["abandoned"]),
+        )
+        consent_key = (
+            _CONSENT_SCOPES[consent["scope"]],
+            bool(consent["voluntary"]),
+            bool(consent["exceeds_authority"]),
+            bool(consent["revoked"]),
+            bool(consent["covers_target_data"]),
+        )
+        doctrine_key = (
+            bool(doctrine["exigent_circumstances"]),
+            bool(doctrine["plain_view"]),
+            bool(doctrine["target_on_probation"]),
+            bool(doctrine["emergency_pen_trap"]),
+            bool(doctrine["hash_search_of_lawful_media"]),
+            bool(doctrine["mining_of_lawful_data"]),
+            bool(doctrine["credentials_lawfully_obtained"]),
+            bool(doctrine["monitoring_own_network"]),
+            bool(doctrine["victim_invited_monitoring"]),
+        )
         return InvestigativeAction(
-            description=str(payload["description"]),
-            actor=Actor[payload["actor"]],
-            data_kind=DataKind[payload["data_kind"]],
-            timing=Timing[payload["timing"]],
-            context=EnvironmentContext(
-                place=Place[context["place"]],
-                encrypted=bool(context["encrypted"]),
-                knowingly_exposed=bool(context["knowingly_exposed"]),
-                shared_with_others=bool(context["shared_with_others"]),
-                delivered_to_recipient=bool(
-                    context["delivered_to_recipient"]
-                ),
-                provider_serves_public=(
-                    None
-                    if context["provider_serves_public"] is None
-                    else bool(context["provider_serves_public"])
-                ),
-                provider_role=(
-                    None
-                    if provider_role is None
-                    else ProviderRole[provider_role]
-                ),
-                policy_eliminates_rep=bool(context["policy_eliminates_rep"]),
-                home_interior=bool(context["home_interior"]),
-                technology_in_general_public_use=bool(
-                    context["technology_in_general_public_use"]
-                ),
-                abandoned=bool(context["abandoned"]),
-            ),
-            consent=ConsentFacts(
-                scope=ConsentScope[consent["scope"]],
-                voluntary=bool(consent["voluntary"]),
-                exceeds_authority=bool(consent["exceeds_authority"]),
-                revoked=bool(consent["revoked"]),
-                covers_target_data=bool(consent["covers_target_data"]),
-            ),
-            doctrine=DoctrineFacts(
-                exigent_circumstances=bool(
-                    doctrine["exigent_circumstances"]
-                ),
-                plain_view=bool(doctrine["plain_view"]),
-                target_on_probation=bool(doctrine["target_on_probation"]),
-                emergency_pen_trap=bool(doctrine["emergency_pen_trap"]),
-                hash_search_of_lawful_media=bool(
-                    doctrine["hash_search_of_lawful_media"]
-                ),
-                mining_of_lawful_data=bool(
-                    doctrine["mining_of_lawful_data"]
-                ),
-                credentials_lawfully_obtained=bool(
-                    doctrine["credentials_lawfully_obtained"]
-                ),
-                monitoring_own_network=bool(
-                    doctrine["monitoring_own_network"]
-                ),
-                victim_invited_monitoring=bool(
-                    doctrine["victim_invited_monitoring"]
-                ),
-            ),
+            description,
+            actor,
+            data_kind,
+            timing,
+            _intern(_CONTEXTS, context_key, EnvironmentContext),
+            _intern(_CONSENTS, consent_key, ConsentFacts),
+            _intern(_DOCTRINES, doctrine_key, DoctrineFacts),
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed action: {exc}") from exc
@@ -208,7 +236,8 @@ def decode_line(line: bytes) -> dict[str, Any]:
     """Parse one received line into a message dict.
 
     Raises:
-        ProtocolError: On non-UTF-8 bytes, invalid JSON, or a non-object
+        ProtocolError: On non-UTF-8 bytes, invalid JSON (including
+            over-long integers and over-deep nesting), or a non-object
             top level.
     """
     try:
@@ -217,6 +246,10 @@ def decode_line(line: bytes) -> dict[str, Any]:
         raise ProtocolError("line is not UTF-8") from exc
     except json.JSONDecodeError as exc:
         raise ProtocolError(f"invalid JSON: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # Integer literals past the int-conversion digit limit, and
+        # nesting deeper than the interpreter's recursion limit.
+        raise ProtocolError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError("message must be a JSON object")
     return payload

@@ -39,7 +39,9 @@ state read out at render time.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
+import sqlite3
 
 from repro.core.cache import DEFAULT_CACHE_SIZE
 from repro.ledger.serialize import canonical_json, ruling_to_dict
@@ -114,10 +116,6 @@ class _Work:
 class RulingServer:
     """The long-running sharded ruling service."""
 
-    #: Bound on the encoded-ruling memo (entries, not bytes); when full
-    #: the memo is dropped wholesale and rebuilt — O(1) amortized.
-    ENCODE_MEMO_MAX = 65536
-
     def __init__(self, config: ServerConfig | None = None) -> None:
         self.config = config or ServerConfig()
         self.router: ShardRouter | None = None
@@ -126,8 +124,12 @@ class RulingServer:
         # caches, so encoding each distinct object once and joining the
         # memoized strings makes hot responses a lookup + join instead
         # of a full re-serialization.  Keyed by id() — safe only because
-        # the memo also holds the ruling, pinning the id.
+        # the memo also holds the ruling, pinning the id.  Bounded by
+        # the shard caches' total capacity, so it never pins more
+        # rulings than the caches can hold; when full it is dropped
+        # wholesale and rebuilt — O(1) amortized.
         self._encode_memo: dict[int, tuple[object, str]] = {}
+        self._encode_memo_max = self.config.n_shards * self.config.cache_size
         self._ledger: Ledger | None = None
         self._queues: list[asyncio.Queue] = []
         self._workers: list[asyncio.Task] = []
@@ -240,7 +242,8 @@ class RulingServer:
         )
         self._ruling_seconds = registry.histogram(
             "repro_serve_ruling_seconds",
-            "Per-action ruling latency inside shard workers.",
+            "Wall time of one coalesced shard batch (evaluate_many plus "
+            "ledger commit); one observation per batch.",
         )
         self._round_trip_seconds = registry.histogram(
             "repro_serve_round_trip_seconds",
@@ -272,20 +275,15 @@ class RulingServer:
             started = clock()
             try:
                 rulings = shard.evaluate_many(actions)
-            except Exception as exc:  # defensive: engine is deterministic
-                for item in items:
-                    if not item.future.done():
-                        item.future.set_exception(exc)
+                if self._ledger is not None:
+                    # record_ruling leaves writes pending; flush them at
+                    # batch granularity so a killed server loses at most
+                    # the current coalesced batch, not the whole session.
+                    self._ledger.commit()
+            except Exception as exc:
+                self._fail_batch(shard, items, exc)
                 continue
-            if self._ledger is not None:
-                # record_ruling leaves writes pending; flush them at
-                # batch granularity so a killed server loses at most
-                # the current coalesced batch, not the whole session.
-                self._ledger.commit()
-            elapsed = clock() - started
-            per_action = elapsed / len(actions) if actions else 0.0
-            for _ in actions:
-                self._ruling_seconds.observe(per_action)
+            self._ruling_seconds.observe(clock() - started)
             self._shard_actions.inc(len(actions), shard=shard.index)
             cursor = 0
             for item in items:
@@ -298,6 +296,21 @@ class RulingServer:
             # Yield so connection handlers can enqueue follow-up work
             # before the next coalescing sweep.
             await asyncio.sleep(0)
+
+    def _fail_batch(self, shard, items: list, exc: Exception) -> None:
+        """Fail a coalesced batch: the batch fails, the shard stays
+        alive, and nothing partial is persisted."""
+        if self._ledger is not None:
+            # Drop the batch's pending rows, and the shard's cache with
+            # them: a cached ruling is never recorded again, so keeping
+            # the ones whose rows were rolled back would leave them out
+            # of the ledger for good.
+            with contextlib.suppress(sqlite3.Error):
+                self._ledger.rollback()
+            shard.cache.clear()
+        for item in items:
+            if not item.future.done():
+                item.future.set_exception(exc)
 
     # -- NDJSON connections ------------------------------------------------------
 
@@ -476,7 +489,7 @@ class RulingServer:
             self._round_trip_seconds.observe(clock() - started)
             if not response_future.done():
                 response_future.set_result(body)
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             self._errors_total.inc(reason="internal")
             if not response_future.done():
                 response_future.set_result(
@@ -489,7 +502,7 @@ class RulingServer:
         hit = self._encode_memo.get(key)
         if hit is not None:
             return hit[1]
-        if len(self._encode_memo) >= self.ENCODE_MEMO_MAX:
+        if len(self._encode_memo) >= self._encode_memo_max:
             self._encode_memo.clear()
         text = canonical_json(ruling_to_dict(ruling))
         self._encode_memo[key] = (ruling, text)

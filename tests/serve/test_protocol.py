@@ -1,8 +1,25 @@
 """Wire-codec tests: the action codec must be lossless and the framing strict."""
 
-import pytest
+import itertools
+import json
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
+from repro.core.context import EnvironmentContext
+from repro.core.enums import (
+    Actor,
+    ConsentScope,
+    DataKind,
+    Place,
+    ProviderRole,
+    Timing,
+)
 from repro.core.fingerprint import action_fingerprint
+from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_BATCH_ACTIONS,
     MAX_LINE_BYTES,
@@ -47,6 +64,192 @@ class TestActionCodec:
             action_from_dict(payload)
 
 
+contexts = st.builds(
+    EnvironmentContext,
+    place=st.sampled_from(list(Place)),
+    encrypted=st.booleans(),
+    knowingly_exposed=st.booleans(),
+    shared_with_others=st.booleans(),
+    delivered_to_recipient=st.booleans(),
+    provider_serves_public=st.none() | st.booleans(),
+    provider_role=st.none() | st.sampled_from(list(ProviderRole)),
+    policy_eliminates_rep=st.booleans(),
+    home_interior=st.booleans(),
+    technology_in_general_public_use=st.booleans(),
+    abandoned=st.booleans(),
+)
+
+actions = st.builds(
+    InvestigativeAction,
+    description=st.text(max_size=40),
+    actor=st.sampled_from(list(Actor)),
+    data_kind=st.sampled_from(list(DataKind)),
+    timing=st.sampled_from(list(Timing)),
+    context=contexts,
+    consent=st.builds(
+        ConsentFacts,
+        scope=st.sampled_from(list(ConsentScope)),
+        voluntary=st.booleans(),
+        exceeds_authority=st.booleans(),
+        revoked=st.booleans(),
+        covers_target_data=st.booleans(),
+    ),
+    doctrine=st.builds(
+        DoctrineFacts,
+        **{
+            field.name: st.booleans()
+            for field in DoctrineFacts.__dataclass_fields__.values()
+        },
+    ),
+)
+
+#: Values a hostile client might put in any field.
+junk = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**6), max_value=10**6)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.sampled_from(["GOVERNMENT", "PUBLIC", "ECS", "NONE", "content"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _reference(payload):
+    """The decoder as a plain construction: ``Enum[name]`` and ``bool()``."""
+    context = payload["context"]
+    consent = payload["consent"]
+    doctrine = payload["doctrine"]
+    serves_public = context["provider_serves_public"]
+    role = context["provider_role"]
+    return InvestigativeAction(
+        description=str(payload["description"]),
+        actor=Actor[payload["actor"]],
+        data_kind=DataKind[payload["data_kind"]],
+        timing=Timing[payload["timing"]],
+        context=EnvironmentContext(
+            place=Place[context["place"]],
+            encrypted=bool(context["encrypted"]),
+            knowingly_exposed=bool(context["knowingly_exposed"]),
+            shared_with_others=bool(context["shared_with_others"]),
+            delivered_to_recipient=bool(context["delivered_to_recipient"]),
+            provider_serves_public=(
+                None if serves_public is None else bool(serves_public)
+            ),
+            provider_role=None if role is None else ProviderRole[role],
+            policy_eliminates_rep=bool(context["policy_eliminates_rep"]),
+            home_interior=bool(context["home_interior"]),
+            technology_in_general_public_use=bool(
+                context["technology_in_general_public_use"]
+            ),
+            abandoned=bool(context["abandoned"]),
+        ),
+        consent=ConsentFacts(
+            scope=ConsentScope[consent["scope"]],
+            voluntary=bool(consent["voluntary"]),
+            exceeds_authority=bool(consent["exceeds_authority"]),
+            revoked=bool(consent["revoked"]),
+            covers_target_data=bool(consent["covers_target_data"]),
+        ),
+        doctrine=DoctrineFacts(
+            **{
+                name: bool(doctrine[name])
+                for name in DoctrineFacts.__dataclass_fields__
+            }
+        ),
+    )
+
+
+def _field_paths(payload):
+    """Every top-level and nested field path of an encoded action."""
+    paths = [()]
+    for key, value in payload.items():
+        paths.append((key,))
+        if isinstance(value, dict):
+            paths.extend((key, inner) for inner in value)
+    return paths
+
+
+class TestActionCodecProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(actions)
+    def test_round_trip_is_equal_and_fingerprints_identically(self, action):
+        payload = json.loads(json.dumps(action_to_dict(action)))
+        rebuilt = action_from_dict(payload)
+        assert rebuilt == action
+        assert action_fingerprint(rebuilt) == action_fingerprint(action)
+
+    @settings(max_examples=100, deadline=None)
+    @given(actions)
+    def test_equal_payloads_share_their_parts(self, action):
+        first = action_from_dict(action_to_dict(action))
+        second = action_from_dict(action_to_dict(action))
+        assert first is not second
+        assert first.context is second.context
+        assert first.consent is second.consent
+        assert first.doctrine is second.doctrine
+
+    @settings(max_examples=400, deadline=None)
+    @given(actions, st.data(), junk, st.booleans())
+    def test_fuzzed_field_decodes_like_the_reference_or_is_refused(
+        self, action, data, value, delete
+    ):
+        payload = action_to_dict(action)
+        path = data.draw(st.sampled_from(_field_paths(payload)))
+        if not path:
+            payload = value
+        else:
+            parent = payload
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        try:
+            expected = _reference(payload)
+        except (KeyError, TypeError):
+            with pytest.raises(ProtocolError):
+                action_from_dict(payload)
+        else:
+            assert action_from_dict(payload) == expected
+
+    def test_intern_tables_stay_within_the_cap(self):
+        payload = action_to_dict(action_corpus(1, seed=3)[0])
+        context = payload["context"]
+        flags = [
+            name
+            for name, value in context.items()
+            if isinstance(value, bool) and name != "provider_serves_public"
+        ]
+        variants = itertools.product(
+            [place.name for place in Place],
+            [None, False, True],
+            [None] + [role.name for role in ProviderRole],
+            *[(False, True)] * len(flags),
+        )
+        seen = set()
+        for place, serves_public, role, *bits in itertools.islice(
+            variants, protocol.INTERN_MAX + 100
+        ):
+            context.update(zip(flags, bits))
+            context["place"] = place
+            context["provider_serves_public"] = serves_public
+            context["provider_role"] = role
+            rebuilt = action_from_dict(payload)
+            assert rebuilt == _reference(payload)
+            seen.add(rebuilt.context)
+        assert len(seen) > protocol.INTERN_MAX
+        for table in (
+            protocol._CONTEXTS,
+            protocol._CONSENTS,
+            protocol._DOCTRINES,
+        ):
+            assert len(table) <= protocol.INTERN_MAX
+
+
 class TestFraming:
     def test_encode_line_is_canonical_and_newline_terminated(self):
         line = encode_line({"b": 1, "a": 2})
@@ -59,6 +262,18 @@ class TestFraming:
     def test_decode_rejects_non_object(self):
         with pytest.raises(ProtocolError):
             decode_line(b"[1, 2]\n")
+
+    def test_decode_refuses_over_deep_nesting(self):
+        with pytest.raises(ProtocolError):
+            decode_line(b"[" * 100_000 + b"\n")
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"),
+        reason="no integer digit limit before Python 3.11",
+    )
+    def test_decode_refuses_integers_past_the_digit_limit(self):
+        with pytest.raises(ProtocolError):
+            decode_line(b'{"n": ' + b"9" * 5000 + b"}\n")
 
     def test_decode_rejects_non_utf8(self):
         with pytest.raises(ProtocolError):

@@ -1,16 +1,21 @@
 """End-to-end server tests over real sockets on ephemeral loopback ports."""
 
 import json
+import sqlite3
 import urllib.request
 
 import pytest
 
 from repro.core.cache import RulingCache
 from repro.core.engine import ComplianceEngine
+from repro.core.fingerprint import action_fingerprint
 from repro.ledger.serialize import canonical_json, ruling_to_dict
+from repro.ledger.store import Ledger
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
+from repro.serve.protocol import encode_line
 from repro.serve.server import ServerConfig
+from repro.serve.shard import Shard
 from repro.workloads import action_corpus
 
 
@@ -54,6 +59,8 @@ class TestOps:
             host, port = thread.address
             with ServeClient(host, port) as client:
                 client._sock.sendall(b"{not json\n")
+                assert client.read_response()["ok"] is False
+                client._sock.sendall(b"[" * 100_000 + b"\n")
                 assert client.read_response()["ok"] is False
 
                 client.send_line({"op": "nope", "id": 1})
@@ -158,16 +165,17 @@ class TestDifferential:
         assert served == _reference_strings(corpus)
 
 
-class TestMetricsEndpoint:
-    def _get(self, address, path):
-        host, port = address
-        request = urllib.request.Request(f"http://{host}:{port}{path}")
-        try:
-            with urllib.request.urlopen(request, timeout=10) as response:
-                return response.status, response.read().decode("utf-8")
-        except urllib.error.HTTPError as exc:
-            return exc.code, exc.read().decode("utf-8")
+def _get(address, path):
+    host, port = address
+    request = urllib.request.Request(f"http://{host}:{port}{path}")
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, response.read().decode("utf-8")
+    except urllib.error.HTTPError as exc:
+        return exc.code, exc.read().decode("utf-8")
 
+
+class TestMetricsEndpoint:
     def test_metrics_healthz_and_404(self):
         corpus = action_corpus(400, seed=36)
         with ServerThread(_config()) as thread:
@@ -179,7 +187,7 @@ class TestMetricsEndpoint:
                 # Scrape while the connection is still open: the gauge
                 # value is deterministic (disconnects are noticed
                 # asynchronously, so scraping after close would race).
-                status, text = self._get(
+                status, text = _get(
                     thread.metrics_address, "/metrics"
                 )
             assert status == 200
@@ -196,12 +204,103 @@ class TestMetricsEndpoint:
             ):
                 assert marker in text, marker
 
-            assert self._get(thread.metrics_address, "/healthz") == (
+            assert _get(thread.metrics_address, "/healthz") == (
                 200,
                 "ok\n",
             )
-            status, _text = self._get(thread.metrics_address, "/nope")
+            status, _text = _get(thread.metrics_address, "/nope")
             assert status == 404
+
+
+def _fail_first_call(monkeypatch, owner, name, exc, after_real_call):
+    """Make ``owner.name`` raise ``exc`` once, then behave normally.
+
+    With ``after_real_call`` the real method runs first, so whatever it
+    wrote is pending when the failure hits.
+    """
+    real = getattr(owner, name)
+    calls = []
+
+    def failing(self, *args):
+        calls.append(name)
+        if len(calls) > 1:
+            return real(self, *args)
+        if after_real_call:
+            real(self, *args)
+        raise exc
+
+    monkeypatch.setattr(owner, name, failing)
+    return calls
+
+
+def _fingerprints(corpus) -> set:
+    return {action_fingerprint(action) for action in corpus}
+
+
+def _ledger_rows(path) -> int:
+    with Ledger(path) as ledger:
+        return ledger.counts()["rulings"]
+
+
+class TestBatchFailure:
+    """The contract: the batch fails, the shard stays alive, and nothing
+    partial is persisted."""
+
+    @pytest.mark.parametrize(
+        "owner, name, exc, after_real_call",
+        [
+            (
+                Ledger,
+                "commit",
+                sqlite3.OperationalError("database is locked"),
+                False,
+            ),
+            (Shard, "evaluate_many", RuntimeError("shard fault"), True),
+        ],
+        ids=["ledger-commit", "shard-evaluate"],
+    )
+    def test_failed_batch_answers_an_error_and_the_shard_carries_on(
+        self, monkeypatch, tmp_path, owner, name, exc, after_real_call
+    ):
+        path = str(tmp_path / "serve.sqlite")
+        failing = action_corpus(80, seed=39)
+        following = action_corpus(80, seed=40)
+        expected = encode_line(
+            {
+                "id": 2,
+                "ok": True,
+                "rulings": [
+                    json.loads(text) for text in _reference_strings(following)
+                ],
+            }
+        )
+        # One shard, so the whole request is the one batch that fails.
+        with ServerThread(_config(n_shards=1, ledger_path=path)) as thread:
+            calls = _fail_first_call(
+                monkeypatch, owner, name, exc, after_real_call
+            )
+            host, port = thread.address
+            with ServeClient(host, port) as client:
+                failed = client.rule(failing, request_id=1)
+                assert failed["ok"] is False and failed["id"] == 1
+                assert failed["error"].startswith("internal: ")
+
+                client.send_rule(2, following)
+                assert client._reader.readline() == expected
+                # Nothing of the failed batch was persisted.
+                assert _ledger_rows(path) == len(_fingerprints(following))
+
+                # Its rulings are recomputed, and recorded, when asked
+                # again: the shard did not keep serving cached rulings
+                # whose rows were rolled back.
+                assert client.rule(failing, request_id=3)["ok"] is True
+                _status, text = _get(thread.metrics_address, "/metrics")
+            assert calls == [name] * 3
+        assert 'repro_serve_errors_total{reason="internal"} 1' in text
+        assert "repro_serve_inflight_batches 0" in text
+        assert _ledger_rows(path) == len(
+            _fingerprints(failing) | _fingerprints(following)
+        )
 
 
 class TestLedgerIntegration:
