@@ -35,7 +35,8 @@ from pathlib import Path
 from repro import obs
 from repro.core import ComplianceEngine, RulingCache, action_fingerprint
 from repro.core.scenarios import build_table1
-from repro.faults.chaos import resolve_workers, run_chaos
+from repro.faults.chaos import run_chaos
+from repro.parallel import resolve_workers
 from repro.workloads import action_corpus
 
 #: Default benchmark corpus size (matches ``benchmarks/test_engine_scale``).
@@ -72,47 +73,53 @@ COLD_SPEEDUP_FLOOR = 0.95
 COLD_FLOOR_MIN_ACTIONS = 1000
 
 
-def _bench_corpus(corpus, reps: int = CORPUS_TIMING_REPS) -> dict:
-    """Uncached loop vs. cached batch (cold and hot) over one corpus.
+def best_seconds(run, reps: int) -> float:
+    """Minimum wall time of ``run()`` over ``reps`` runs, cyclic GC paused.
 
-    The cyclic GC is paused around each timed run (and collected between
-    them): a cold batch keeps every ruling alive in the cache, so it
-    crosses allocation thresholds the discard-as-you-go uncached loop
-    never does, and mid-run collection pauses would skew the cold-floor
-    ratio by up to 10% on a busy single-CPU box.
+    The minimum estimates the structural cost, since scheduler noise only
+    ever inflates a run.  The cyclic GC is paused around each timed run
+    (and collected between them): a cold batch keeps every ruling alive
+    in the cache, so it crosses allocation thresholds the
+    discard-as-you-go uncached loop never does, and mid-run collection
+    pauses would skew the cold-floor ratio by up to 10% on a busy
+    single-CPU box.
     """
-    n = len(corpus)
     gc_was_enabled = gc.isenabled()
-
-    def _timed(run) -> float:
+    best = float("inf")
+    for _ in range(reps):
         gc.collect()
         gc.disable()
         try:
             start = time.perf_counter()
             run()
-            return time.perf_counter() - start
+            best = min(best, time.perf_counter() - start)
         finally:
             if gc_was_enabled:
                 gc.enable()
+    return best
 
-    uncached_s = float("inf")
-    for _ in range(reps):
-        uncached = ComplianceEngine()
 
-        def _uncached_loop() -> None:
-            for action in corpus:
-                uncached.evaluate(action)
+def _bench_corpus(corpus, reps: int = CORPUS_TIMING_REPS) -> dict:
+    """Uncached loop vs. cached batch (cold and hot) over one corpus."""
+    n = len(corpus)
+    uncached = ComplianceEngine()
 
-        uncached_s = min(uncached_s, _timed(_uncached_loop))
+    def _uncached_loop() -> None:
+        for action in corpus:
+            uncached.evaluate(action)
+
+    uncached_s = best_seconds(_uncached_loop, reps)
 
     cold_s = float("inf")
     for _ in range(reps):
         cached = ComplianceEngine(cache=RulingCache(maxsize=2 * n))
-        cold_s = min(cold_s, _timed(lambda: cached.evaluate_many(corpus)))
+        cold_s = min(
+            cold_s, best_seconds(lambda: cached.evaluate_many(corpus), 1)
+        )
     cold_stats = cached.cache_stats.to_dict()
 
     cached.cache_stats.reset()
-    hot_s = _timed(lambda: cached.evaluate_many(corpus))
+    hot_s = best_seconds(lambda: cached.evaluate_many(corpus), 1)
     hot_stats = cached.cache_stats.to_dict()
 
     return {
@@ -272,28 +279,12 @@ def _bench_obs_overhead(corpus, reps: int = CORPUS_TIMING_REPS) -> dict:
     n = len(corpus)
     engine = ComplianceEngine(cache=RulingCache(maxsize=2 * n))
     engine.evaluate_many(corpus)  # warm every fingerprint
-    gc_was_enabled = gc.isenabled()
-
-    def _timed(run) -> float:
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run()
-            return time.perf_counter() - start
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    def _best(run, n_reps: int) -> float:
-        best = _timed(run)
-        for _ in range(n_reps - 1):
-            best = min(best, _timed(run))
-        return best
 
     def _measure(n_reps: int) -> tuple[float, float]:
-        public_s = _best(lambda: engine.evaluate_many(corpus), n_reps)
-        impl_s = _best(lambda: engine._evaluate_many_impl(corpus), n_reps)
+        public_s = best_seconds(lambda: engine.evaluate_many(corpus), n_reps)
+        impl_s = best_seconds(
+            lambda: engine._evaluate_many_impl(corpus), n_reps
+        )
         return public_s, impl_s
 
     obs.reset()  # telemetry must be off for the gated measurement
@@ -306,7 +297,7 @@ def _bench_obs_overhead(corpus, reps: int = CORPUS_TIMING_REPS) -> dict:
 
     obs.enable(obs.TraceCollector())
     try:
-        enabled_s = _best(lambda: engine.evaluate_many(corpus), reps)
+        enabled_s = best_seconds(lambda: engine.evaluate_many(corpus), reps)
     finally:
         obs.reset()
     enabled_pct = (

@@ -9,8 +9,7 @@ ever diverges from its scalar twin or a paper conclusion moves.
 
 Output is one JSON document (``BENCH_techniques.json`` by default):
 
-``dsss`` / ``square_wave`` / ``flow_correlation`` / ``visibility`` /
-``timing_attack``
+``dsss`` / ``square_wave`` / ``flow_correlation`` / ``visibility``
     One section per detector: scalar vs. vectorized detections/second,
     the speedup, and the equivalence verdict.
 ``campaign``
@@ -31,17 +30,14 @@ paper's conclusions.
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import platform
 import random
-import time
 from pathlib import Path
 
-import numpy as np
-
-from repro.anonymity.p2p import P2POverlay, ResponseRecord
+from repro.anonymity.p2p import P2POverlay
+from repro.bench import best_seconds
 from repro.core import ComplianceEngine, ProcessKind
 from repro.core.scenarios import build_table1
 from repro.investigation.campaign import (
@@ -50,11 +46,10 @@ from repro.investigation.campaign import (
     run_campaign,
 )
 from repro.netsim.engine import Simulator
-from repro.signal import grouped_median, intern_labels, offset_grid
+from repro.signal import offset_grid
 from repro.techniques import (
     flow_correlation,
     interval_watermark,
-    timing_attack,
     visibility,
     watermark,
 )
@@ -119,28 +114,6 @@ def _simulate(schedule) -> list[float]:
     return sink.arrivals
 
 
-def _best_seconds(run, reps: int) -> float:
-    """Minimum wall time over ``reps`` runs, cyclic GC paused.
-
-    Same rationale as the corpus benchmark: the minimum estimates the
-    structural cost, since scheduler noise and collection pauses only
-    ever inflate a run.
-    """
-    gc_was_enabled = gc.isenabled()
-    best = float("inf")
-    for _ in range(reps):
-        gc.collect()
-        gc.disable()
-        try:
-            start = time.perf_counter()
-            run()
-            best = min(best, time.perf_counter() - start)
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-    return best
-
-
 def _race(reference, vectorized, quick: bool) -> tuple:
     """Run and time both paths of one detector.
 
@@ -151,10 +124,10 @@ def _race(reference, vectorized, quick: bool) -> tuple:
     """
     reference_result = reference()
     vectorized_result = vectorized()
-    scalar_s = _best_seconds(
+    scalar_s = best_seconds(
         reference, QUICK_SCALAR_REPS if quick else SCALAR_REPS
     )
-    vector_s = _best_seconds(
+    vector_s = best_seconds(
         vectorized, QUICK_VECTOR_REPS if quick else VECTOR_REPS
     )
     timings = {
@@ -356,71 +329,6 @@ def _bench_visibility(quick: bool, seed: int) -> dict:
     }
 
 
-def _bench_timing_attack(quick: bool, seed: int) -> dict:
-    """Per-neighbour medians: dict grouping vs. the grouped-median kernel."""
-    rng = random.Random(seed + 5)
-    n_neighbors, trials = (25, 80) if quick else (50, 200)
-    records = []
-    for trial in range(trials):
-        sent = float(trial)
-        for index in range(n_neighbors):
-            records.append(
-                ResponseRecord(
-                    neighbor=f"peer-{index:02d}",
-                    file_id="f",
-                    query_sent_at=sent,
-                    arrived_at=sent + 0.05 + rng.random() * 0.2,
-                    trial=trial,
-                )
-            )
-
-    def _vectorized() -> dict[str, tuple[float, int]]:
-        codes, names = intern_labels(
-            record.neighbor for record in records
-        )
-        response_times = np.array(
-            [record.arrived_at for record in records], dtype=float
-        ) - np.array(
-            [record.query_sent_at for record in records], dtype=float
-        )
-        unique, medians, counts = grouped_median(codes, response_times)
-        return {
-            names[int(code)]: (float(median), int(count))
-            for code, median, count in zip(unique, medians, counts)
-        }
-
-    reference_result, vectorized_result, timings = _race(
-        lambda: timing_attack._reference_neighbor_medians(records),
-        _vectorized,
-        quick,
-    )
-    median_delta = max(
-        (
-            abs(reference_result[name][0] - vectorized_result[name][0])
-            for name in reference_result
-        ),
-        default=float("inf"),
-    ) if reference_result.keys() == vectorized_result.keys() else float("inf")
-    equivalence = {
-        "median_delta": median_delta,
-        "same_neighbors": reference_result.keys()
-        == vectorized_result.keys(),
-        "same_counts": all(
-            reference_result[name][1] == vectorized_result[name][1]
-            for name in reference_result
-        ),
-    }
-    equivalence["ok"] = median_delta <= EQUIVALENCE_TOLERANCE and all(
-        value for value in equivalence.values() if isinstance(value, bool)
-    )
-    return {
-        "records": len(records),
-        "neighbors": n_neighbors,
-        **timings,
-        "equivalence": equivalence,
-    }
-
-
 def _bench_campaign(quick: bool, seed: int) -> dict:
     """``run_campaign`` serial vs. the seed-isolated worker pool."""
     config = CampaignConfig(
@@ -430,10 +338,10 @@ def _bench_campaign(quick: bool, seed: int) -> dict:
     )
     serial_result = run_campaign(config, max_workers=1)
     parallel_result = run_campaign(config, max_workers=CAMPAIGN_WORKERS)
-    serial_s = _best_seconds(
+    serial_s = best_seconds(
         lambda: run_campaign(config, max_workers=1), reps=1
     )
-    parallel_s = _best_seconds(
+    parallel_s = best_seconds(
         lambda: run_campaign(config, max_workers=CAMPAIGN_WORKERS), reps=1
     )
     signatures_identical = [
@@ -523,13 +431,12 @@ def _bench_conclusions() -> dict:
     }
 
 
-#: The five detector sections, in report order.
+#: The four detector sections, in report order.
 _DETECTOR_SECTIONS = (
     ("dsss", _bench_dsss),
     ("square_wave", _bench_square_wave),
     ("flow_correlation", _bench_flow_correlation),
     ("visibility", _bench_visibility),
-    ("timing_attack", _bench_timing_attack),
 )
 
 

@@ -22,9 +22,7 @@ confidence-scored partial result instead.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from typing import TYPE_CHECKING
 
 from repro import obs
@@ -41,6 +39,7 @@ from repro.investigation.pipeline import (
     suppression_split,
 )
 from repro.netsim.engine import Simulator
+from repro.parallel import ordered_map, resolve_workers
 from repro.storage.blockdev import BlockDevice, image_device
 from repro.techniques.flow_correlation import PacketCountingCorrelator
 from repro.techniques.timing_attack import OneSwarmTimingAttack
@@ -354,35 +353,6 @@ def _plan_worker(task: tuple[int, str, float]) -> PlanResult:
     return run_plan(seed, scenarios, intensity, engine)
 
 
-def _plan_worker_traced(
-    task: tuple[int, str, float],
-) -> tuple[PlanResult, list[dict[str, object]]]:
-    """Traced variant of :func:`_plan_worker`.
-
-    Workers start with telemetry off (it is process-global state), so
-    the plan runs under a private collector and its records return with
-    the result for the parent to
-    :meth:`~repro.obs.TraceCollector.adopt` in seed order.
-    """
-    collector = obs.enable(obs.TraceCollector())
-    try:
-        result = _plan_worker(task)
-    finally:
-        obs.disable()
-    return result, collector.export_records()
-
-
-def resolve_workers(max_workers: int | None, n_plans: int) -> int:
-    """Resolve a ``--workers`` argument to an effective worker count.
-
-    ``None`` means one worker per CPU, capped at the plan count; anything
-    below 2 means run serially in-process.
-    """
-    if max_workers is None:
-        return min(n_plans, os.cpu_count() or 1)
-    return max(1, max_workers)
-
-
 def run_chaos(
     seed: int = 7,
     n_plans: int = 25,
@@ -421,14 +391,7 @@ def run_chaos(
         tasks = [
             (seed + offset, scenes, intensity) for offset in range(n_plans)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if obs.OBS.enabled and obs.OBS.collector is not None:
-                traced = list(pool.map(_plan_worker_traced, tasks))
-                results = tuple(result for result, __ in traced)
-                for __, records in traced:
-                    obs.OBS.collector.adopt(records)
-            else:
-                results = tuple(pool.map(_plan_worker, tasks))
+        results = tuple(ordered_map(_plan_worker, tasks, workers))
     else:
         engine = ComplianceEngine(cache=RulingCache(), ledger=ledger)
         results = tuple(

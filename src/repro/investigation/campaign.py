@@ -11,15 +11,14 @@ in the compliance probability, saturating at 100% under full compliance.
 from __future__ import annotations
 
 import dataclasses
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 
 from repro import obs
 from repro.core.cache import RulingCache
 from repro.core.engine import ComplianceEngine
 from repro.core.scenarios import Scenario, build_table1
 from repro.investigation.pipeline import InvestigationPipeline, SceneOutcome
+from repro.parallel import ordered_map, resolve_workers
 
 
 @dataclasses.dataclass(frozen=True)
@@ -126,27 +125,9 @@ def case_signature(outcome: SceneOutcome) -> tuple:
     )
 
 
-#: Per-worker-process pipeline with a cached engine, built lazily on the
-#: first case a worker executes and reused for every later case — the
-#: same warm-cache behaviour the serial loop gets from its one pipeline.
-_WORKER_PIPELINE: InvestigationPipeline | None = None
-
-
-def _case_worker(task: tuple[Scenario, bool]) -> SceneOutcome:
-    """Run one pre-drawn case inside a pool worker.
-
-    Cases are draw-isolated — the parent materialized every
-    ``(scenario, complies)`` pair before the fan-out — so workers share
-    nothing and the outcome sequence is independent of worker count and
-    scheduling.
-    """
-    global _WORKER_PIPELINE
-    if _WORKER_PIPELINE is None:
-        _WORKER_PIPELINE = InvestigationPipeline(
-            ComplianceEngine(cache=RulingCache())
-        )
-    scenario, complies = task
-    return _WORKER_PIPELINE.run_scene(scenario, obtain_process=complies)
+def _new_pipeline() -> InvestigationPipeline:
+    """A pipeline over a cached engine, as every campaign path uses."""
+    return InvestigationPipeline(ComplianceEngine(cache=RulingCache()))
 
 
 def _run_case(
@@ -164,48 +145,29 @@ def _run_case(
     return outcome
 
 
-def _case_worker_traced(
-    task: tuple[int, Scenario, bool],
-) -> tuple[SceneOutcome, list[dict[str, object]]]:
-    """Traced variant of :func:`_case_worker`.
+#: Per-worker-process pipeline, built lazily on the first case a worker
+#: executes and reused for every later case — the same warm-cache
+#: behaviour the serial loop gets from its one pipeline.
+_WORKER_PIPELINE: InvestigationPipeline | None = None
 
-    Telemetry is process-global and off in a fresh worker, so each case
-    runs under a private collector whose records ship back with the
-    outcome; the parent re-ingests them (in case order) with
-    :meth:`~repro.obs.TraceCollector.adopt`, so the merged trace equals
-    the serial one modulo span ids.
+
+def _case_worker(task: tuple[int, Scenario, bool]) -> SceneOutcome:
+    """Run one pre-drawn case inside a pool worker.
+
+    Cases are draw-isolated — the parent materialized every
+    ``(scenario, complies)`` pair before the fan-out — so workers share
+    nothing and the outcome sequence is independent of worker count and
+    scheduling.
     """
     global _WORKER_PIPELINE
     if _WORKER_PIPELINE is None:
-        _WORKER_PIPELINE = InvestigationPipeline(
-            ComplianceEngine(cache=RulingCache())
-        )
-    index, scenario, complies = task
-    collector = obs.enable(obs.TraceCollector())
-    try:
-        outcome = _run_case(_WORKER_PIPELINE, index, scenario, complies)
-    finally:
-        obs.disable()
-    return outcome, collector.export_records()
-
-
-def resolve_workers(max_workers: int | None, n_cases: int) -> int:
-    """Resolve a ``max_workers`` argument to an effective worker count.
-
-    Mirrors :func:`repro.faults.chaos.resolve_workers` (not imported to
-    keep the investigation package free of a faults dependency): ``None``
-    means one worker per CPU, capped at the case count; anything below 2
-    means run serially in-process.
-    """
-    if max_workers is None:
-        return min(n_cases, os.cpu_count() or 1)
-    return max(1, max_workers)
+        _WORKER_PIPELINE = _new_pipeline()
+    return _run_case(_WORKER_PIPELINE, *task)
 
 
 def run_campaign(
     config: CampaignConfig,
     scenarios: tuple[Scenario, ...] | None = None,
-    engine: ComplianceEngine | None = None,
     max_workers: int | None = 1,
 ) -> CampaignResult:
     """Run one campaign of randomized cases.
@@ -213,8 +175,6 @@ def run_campaign(
     Args:
         config: Campaign parameters.
         scenarios: Scene pool to draw from (defaults to Table 1).
-        engine: Compliance engine to share across cases (serial path
-            only; pool workers build their own cached engine).
         max_workers: Anything below 2 runs the cases serially in-process;
             ``None`` fans out across one worker per CPU (capped at the
             case count), mirroring ``repro chaos --workers``.  Outcomes
@@ -222,38 +182,18 @@ def run_campaign(
             :func:`case_signature` sequences are identical.
     """
     scenarios = scenarios or build_table1()
-    draws = draw_cases(config, scenarios)
+    tasks = [
+        (index, scenario, complies)
+        for index, (scenario, complies) in enumerate(
+            draw_cases(config, scenarios)
+        )
+    ]
     workers = resolve_workers(max_workers, config.n_cases)
-
     if workers > 1:
-        # Cases are ~100 microseconds each on a warm engine cache, so
-        # ship them in chunks: per-case IPC would otherwise swamp the
-        # fan-out.  Order is still preserved by pool.map.
-        chunksize = max(1, len(draws) // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            if obs.OBS.enabled and obs.OBS.collector is not None:
-                tasks = [
-                    (index, scenario, complies)
-                    for index, (scenario, complies) in enumerate(draws)
-                ]
-                traced = list(
-                    pool.map(
-                        _case_worker_traced, tasks, chunksize=chunksize
-                    )
-                )
-                outcomes = [outcome for outcome, __ in traced]
-                for __, records in traced:
-                    obs.OBS.collector.adopt(records)
-            else:
-                outcomes = list(
-                    pool.map(_case_worker, draws, chunksize=chunksize)
-                )
+        outcomes = ordered_map(_case_worker, tasks, workers)
     else:
-        pipeline = InvestigationPipeline(engine)
-        outcomes = [
-            _run_case(pipeline, index, scenario, complies)
-            for index, (scenario, complies) in enumerate(draws)
-        ]
+        pipeline = _new_pipeline()
+        outcomes = [_run_case(pipeline, *task) for task in tasks]
     successes = sum(not outcome.suppressed for outcome in outcomes)
     if obs.OBS.enabled:
         obs.OBS.registry.counter(

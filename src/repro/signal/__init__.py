@@ -19,9 +19,7 @@ This package hoists the whole sweep into NumPy:
 * :func:`autocorrelation_spectrum` — every lag of the visibility test's
   autocorrelation scan in one FFT;
 * :func:`fold_half_counts` — the square-wave detector's modulo-period
-  fold for all offsets at once;
-* :func:`grouped_median` — per-group medians (the timing attack's
-  per-neighbour response-time medians) without a Python grouping loop.
+  fold for all offsets at once.
 
 The scalar originals survive as ``_reference_*`` functions next to each
 technique; the differential and hypothesis suites hold the two
@@ -37,7 +35,6 @@ from repro.signal.binning import (
 from repro.signal.correlate import batched_code_correlation, batched_pearson
 from repro.signal.folding import fold_half_counts
 from repro.signal.grid import offset_grid
-from repro.signal.grouping import grouped_median, intern_labels
 
 __all__ = [
     "DEFAULT_CHUNK_BYTES",
@@ -47,7 +44,5 @@ __all__ = [
     "bin_edges_grid",
     "binned_count_matrix",
     "fold_half_counts",
-    "grouped_median",
-    "intern_labels",
     "offset_grid",
 ]

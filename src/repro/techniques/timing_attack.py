@@ -21,13 +21,10 @@ from __future__ import annotations
 import dataclasses
 import statistics
 
-import numpy as np
-
 from repro.anonymity.p2p import P2POverlay, ResponseRecord
 from repro.core.action import InvestigativeAction
 from repro.core.context import EnvironmentContext
 from repro.core.enums import Actor, DataKind, Place, Timing
-from repro.signal import grouped_median, intern_labels
 from repro.techniques.base import Technique
 
 
@@ -169,31 +166,11 @@ class OneSwarmTimingAttack(Technique):
         ``trials`` responses are still assessed, with ``confidence``
         scaled down to the observed fraction; an empty record list yields
         an empty (not raised) result.
-
-        Per-neighbour medians come from one vectorized
-        :func:`repro.signal.grouped_median` call over *interned* labels:
-        :func:`repro.signal.intern_labels` maps neighbour names to int64
-        codes in sorted-name rank order, so the lexsort never touches a
-        string array yet groups come back in the same sorted order the
-        scalar path iterated; the scalar grouping survives as
-        :func:`_reference_neighbor_medians` for the differential tests.
         """
-        codes, names = intern_labels(
-            record.neighbor for record in records
-        )
-        # arrived - sent, vectorized: IEEE-identical to the per-record
-        # ``response_time`` property, without 1 Python call per record.
-        response_times = np.array(
-            [record.arrived_at for record in records], dtype=float
-        ) - np.array(
-            [record.query_sent_at for record in records], dtype=float
-        )
-        unique, medians, counts = grouped_median(codes, response_times)
         assessments = []
-        for code, median_rt, count in zip(unique, medians, counts):
-            neighbor = names[int(code)]
-            median_rt = float(median_rt)
-            count = int(count)
+        for neighbor, (median_rt, count) in _neighbor_medians(
+            records
+        ).items():
             rtt = overlay.measure_rtt(investigator, neighbor)
             excess = median_rt - rtt
             confidence = min(1.0, count / trials) if trials > 0 else 0.0
@@ -301,17 +278,10 @@ class OneSwarmTimingAttack(Technique):
         return [send_queries, observe_responses]
 
 
-def _reference_neighbor_medians(
+def _neighbor_medians(
     records: list[ResponseRecord],
 ) -> dict[str, tuple[float, int]]:
-    """The original scalar per-neighbour grouping, kept for differential
-    tests.
-
-    Returns ``{neighbor: (median_response_time, n_responses)}`` computed
-    with Python dict grouping and :func:`statistics.median`, exactly as
-    :meth:`OneSwarmTimingAttack.assess_records` did before the
-    :func:`repro.signal.grouped_median` kernel took over.
-    """
+    """``{neighbor: (median_response_time, n_responses)}`` in name order."""
     by_neighbor: dict[str, list[float]] = {}
     for record in records:
         by_neighbor.setdefault(record.neighbor, []).append(

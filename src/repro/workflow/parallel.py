@@ -2,9 +2,10 @@
 
 Evidence items are seed-isolated by construction — each subject, RNG
 stream, and injector derives from ``(pack, item seed)`` alone — so a
-batch fans out across a process pool exactly like the chaos sweep does,
-with the same contract: results come back in seed order and are
-byte-identical to the serial path.  Each item journals to its own file
+batch fans out through :func:`repro.parallel.ordered_map`, the same
+fan-out the chaos sweep uses: results come back in seed order, are
+byte-identical to the serial path, and a traced pooled batch records the
+same spans as a serial one.  Each item journals to its own file
 in the batch directory, so any individual run in a batch can be crash-
 resumed independently.
 """
@@ -12,11 +13,10 @@ resumed independently.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from repro import obs
+from repro.parallel import ordered_map, resolve_workers
 from repro.workflow.engine import WorkflowEngine
 from repro.workflow.faultplan import WorkflowFaultPlan, parse_fault_plan
 from repro.workflow.packs import get_pack
@@ -92,13 +92,6 @@ def _item_worker(
     return ItemSummary.of(result, seed)
 
 
-def resolve_workers(max_workers: int | None, n_items: int) -> int:
-    """``None`` → one worker per CPU capped at the item count; < 2 → serial."""
-    if max_workers is None:
-        return min(n_items, os.cpu_count() or 1)
-    return max(1, max_workers)
-
-
 def run_batch(
     pack_name: str,
     n_items: int,
@@ -126,9 +119,5 @@ def run_batch(
     ]
     workers = resolve_workers(max_workers, n_items)
     with obs.span("workflow.batch", pack=pack_name, items=n_items):
-        if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                summaries = tuple(pool.map(_item_worker, tasks))
-        else:
-            summaries = tuple(_item_worker(task) for task in tasks)
+        summaries = tuple(ordered_map(_item_worker, tasks, workers))
     return BatchResult(pack=pack_name, summaries=summaries)

@@ -13,23 +13,7 @@ from repro.investigation.campaign import (
     case_signature,
     run_campaign,
 )
-
-#: Attribute/audit fields whose values are process-global serials or
-#: per-process fingerprint tuples; equal runs differ here by design.
-SERIAL_FIELDS = {"instrument_id", "docket_id", "evidence_id", "action_fp"}
-
-
-def normalized(records):
-    """Span shape minus ids: what must be equal across serial/parallel."""
-    return [
-        (
-            record.name,
-            record.sim_time,
-            {k: v for k, v in record.attrs.items() if k not in SERIAL_FIELDS},
-            {k: v for k, v in record.audit.items() if k not in SERIAL_FIELDS},
-        )
-        for record in records
-    ]
+from trace_shape import normalized
 
 
 def traced_campaign(config, workers):

@@ -10,7 +10,6 @@ from repro.signal import (
     bin_edges_grid,
     binned_count_matrix,
     fold_half_counts,
-    grouped_median,
     offset_grid,
 )
 
@@ -235,33 +234,3 @@ class TestAutocorrelationSpectrum:
     def test_rejects_bad_max_lag(self):
         with pytest.raises(ValueError, match="max_lag"):
             autocorrelation_spectrum(np.ones(8), 0)
-
-
-class TestGroupedMedian:
-    def test_matches_statistics_median(self):
-        import statistics
-
-        rng = np.random.default_rng(8)
-        labels = rng.choice(["a", "b", "c", "dd"], 101)
-        values = rng.random(101)
-        unique, medians, counts = grouped_median(labels, values)
-        assert unique.tolist() == sorted(set(labels.tolist()))
-        for label, median, count in zip(unique, medians, counts):
-            group = values[labels == label]
-            assert float(median) == statistics.median(group.tolist())
-            assert int(count) == group.size
-
-    def test_even_group_mean_of_middle_two(self):
-        unique, medians, counts = grouped_median(
-            ["x", "x", "x", "x"], [4.0, 1.0, 3.0, 2.0]
-        )
-        assert medians.tolist() == [2.5]
-        assert counts.tolist() == [4]
-
-    def test_empty_input(self):
-        unique, medians, counts = grouped_median([], [])
-        assert unique.size == medians.size == counts.size == 0
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            grouped_median(["a"], [1.0, 2.0])

@@ -14,9 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.anonymity.p2p import ResponseRecord
 from repro.techniques import flow_correlation as flow_correlation_module
-from repro.techniques import timing_attack as timing_attack_module
 from repro.techniques import visibility as visibility_module
 from repro.techniques.flow_correlation import (
     PacketCountingCorrelator,
@@ -29,7 +27,6 @@ from repro.techniques.interval_watermark import (
 from repro.techniques.interval_watermark import (
     _reference_detect as _reference_square_detect,
 )
-from repro.techniques.timing_attack import _reference_neighbor_medians
 from repro.techniques.visibility import (
     AutocorrelationVisibilityTest,
     _reference_test,
@@ -178,48 +175,6 @@ class TestVisibilityEquivalence:
         )
 
 
-class TestGroupedMedianEquivalence:
-    @given(
-        st.lists(
-            st.tuples(
-                st.integers(min_value=0, max_value=7),
-                st.integers(min_value=1, max_value=500_000),
-            ),
-            min_size=1,
-            max_size=120,
-        )
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_assessment_grouping_matches_reference(self, draws):
-        records = [
-            ResponseRecord(
-                neighbor=f"peer-{which}",
-                file_id="f",
-                query_sent_at=float(index),
-                arrived_at=float(index) + rt_us / 1e6,
-                trial=index,
-            )
-            for index, (which, rt_us) in enumerate(draws)
-        ]
-        reference = _reference_neighbor_medians(records)
-        neighbors = np.array([record.neighbor for record in records])
-        response_times = np.array(
-            [record.arrived_at for record in records], dtype=float
-        ) - np.array(
-            [record.query_sent_at for record in records], dtype=float
-        )
-        unique, medians, counts = timing_attack_module.grouped_median(
-            neighbors, response_times
-        )
-        assert [str(name) for name in unique] == list(reference)
-        for name, median, count in zip(unique, medians, counts):
-            expected_median, expected_count = reference[str(name)]
-            assert float(median) == pytest.approx(
-                expected_median, abs=TOLERANCE
-            )
-            assert int(count) == expected_count
-
-
 class TestSweepValidation:
     """Satellite regression: bad sweep parameters raise instead of hanging."""
 
@@ -260,4 +215,3 @@ def test_reference_twins_stay_importable():
     assert callable(_reference_square_detect)
     assert callable(_reference_correlate)
     assert callable(visibility_module._reference_test)
-    assert callable(timing_attack_module._reference_neighbor_medians)
