@@ -553,11 +553,14 @@ def _cmd_ledger_prime(args: argparse.Namespace) -> int:
         return 2
     with ledger:
         cache = RulingCache(maxsize=2 * max(args.corpus, 1))
-        primed = ComplianceEngine(cache=cache, ledger=ledger)
-        n_primed = primed.prime_from_ledger()
+        loader = ComplianceEngine(cache=cache, ledger=ledger)
+        n_primed = loader.prime_from_ledger()
         print(f"primed {n_primed} ruling(s) from {args.path}")
         if not args.verify:
             return 0
+        # Rule the corpus without the ledger: verifying must not record
+        # the corpus's misses into the ledger it verifies.
+        primed = ComplianceEngine(cache=cache)
         corpus = action_corpus(args.corpus, seed=args.seed)
         fresh = ComplianceEngine()
         fresh_rulings = fresh.evaluate_many(corpus)
@@ -638,8 +641,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics_port=args.metrics_port,
             n_shards=args.shards,
             cache_size=args.cache_size,
-            max_pending_batches=args.max_pending,
-            policy=args.policy,
             ledger_path=args.ledger,
             prime=args.prime,
         )
@@ -668,7 +669,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(
             f"repro serve: {config.n_shards} shards x "
-            f"{config.cache_size} cache entries, policy {config.policy}"
+            f"{config.cache_size} cache entries"
             + (f", ledger {config.ledger_path}" if config.ledger_path else "")
             + (
                 f", primed {server.primed_rulings} rulings"
@@ -697,7 +698,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
             quick=args.quick,
             connect=args.connect,
             n_shards=args.shards,
-            policy=args.policy,
             batch_size=args.batch_size,
             depth=args.depth,
             target_rps=args.rps,
@@ -1292,21 +1292,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-shard LRU ruling-cache capacity",
     )
     serve.add_argument(
-        "--max-pending",
-        type=int,
-        default=64,
-        help="per-connection bound on in-flight rule batches",
-    )
-    serve.add_argument(
-        "--policy",
-        choices=["queue", "shed"],
-        default="queue",
-        help=(
-            "backpressure when a connection is full: queue (pause socket "
-            "reads) or shed (answer with an overload error)"
-        ),
-    )
-    serve.add_argument(
         "--ledger",
         default=None,
         metavar="PATH",
@@ -1345,12 +1330,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4,
         help="shards for the spawned in-process server",
-    )
-    serve_bench.add_argument(
-        "--policy",
-        choices=["queue", "shed"],
-        default="queue",
-        help="backpressure policy for the spawned in-process server",
     )
     serve_bench.add_argument(
         "--batch-size",

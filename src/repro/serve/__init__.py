@@ -13,12 +13,11 @@ process that many consumers share.  This package provides that:
   ``ComplianceEngine``, with actions routed by fingerprint hash — no
   shard ever touches another's state, so the hot path has no locks;
 * :mod:`repro.serve.server` — the asyncio server: NDJSON batches over
-  TCP with responses streamed back in request order, bounded
-  per-connection queues with a configurable ``queue``/``shed``
-  backpressure policy, an HTTP ``/metrics`` endpoint rendering the
-  :mod:`repro.obs` registry (per-shard cache counters, in-flight
-  batches, latency histograms), and optional ledger persistence with
-  startup cache priming;
+  TCP, each request ruled and answered in turn so responses leave in
+  request order and TCP provides the backpressure, an HTTP
+  ``/metrics`` endpoint rendering the :mod:`repro.obs` registry
+  (per-shard cache and action counters, latency histograms), and
+  optional ledger persistence with startup cache priming;
 * :mod:`repro.serve.client` — a small blocking client for tests and
   load generation;
 * :mod:`repro.serve.bench` — the ``repro serve-bench`` load generator:

@@ -13,17 +13,17 @@ with:
 * **shard balance** (actions per shard, max/mean ratio) and the
   aggregate cache hit rate, read from the server's ``stats`` op;
 * a **metrics-endpoint check** that ``/metrics`` serves Prometheus text
-  containing the per-shard cache counters and the serve histograms
-  while the server is under (post-)load;
+  containing the per-shard cache and action counters and the serve
+  histograms while the server is under (post-)load;
 * the **differential gate**: every ruling the server returned on the
   cold replay, re-rendered through the canonical encoder, must be
   *byte-identical* to in-process ``evaluate_many()`` over the same
   corpus.  Any mismatch fails the run (nonzero exit, same pattern as
   ``repro bench``).
 
-The gate is the point: sharding, batching, coalescing, and the wire
-codec are all allowed to change *how fast* an answer arrives, never
-*what* the answer is.
+The gate is the point: sharding, batching and the wire codec are all
+allowed to change *how fast* an answer arrives, never *what* the answer
+is.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def _check_metrics_endpoint(address: tuple[str, int] | None) -> dict:
         return {"checked": True, "ok": False, "error": str(exc)}
     required = (
         'repro_ruling_cache_hits{cache="shard0"}',
-        "repro_serve_inflight_batches",
+        'repro_serve_shard_actions_total{shard="0"}',
         "repro_serve_round_trip_seconds_bucket",
         "repro_serve_ruling_seconds_bucket",
     )
@@ -152,7 +152,6 @@ def run_serve_bench(
     quick: bool = False,
     connect: str | None = None,
     n_shards: int = 4,
-    policy: str = "queue",
     batch_size: int = DEFAULT_BATCH_SIZE,
     depth: int = DEFAULT_PIPELINE_DEPTH,
     target_rps: float | None = None,
@@ -174,9 +173,7 @@ def run_serve_bench(
     server_thread: ServerThread | None = None
     if connect is None:
         server_thread = ServerThread(
-            ServerConfig(
-                port=0, metrics_port=0, n_shards=n_shards, policy=policy
-            )
+            ServerConfig(port=0, metrics_port=0, n_shards=n_shards)
         )
         server_thread.start()
         assert server_thread.address is not None
@@ -227,7 +224,6 @@ def run_serve_bench(
             "pipeline_depth": depth,
             "target_rps": target_rps,
             "connect": connect,
-            "policy": stats.get("policy", policy),
             "n_shards": stats.get("n_shards", n_shards),
         },
         "cold": {
@@ -277,8 +273,7 @@ def render_serve_report(report: dict) -> str:
             f"{meta['batch_size']}, pipeline depth {meta['pipeline_depth']}"
         ),
         (
-            f"  server: {meta['n_shards']} shards, policy "
-            f"{meta['policy']}"
+            f"  server: {meta['n_shards']} shards"
             + (f", connected to {meta['connect']}" if meta["connect"] else "")
         ),
         (

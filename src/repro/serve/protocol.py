@@ -15,11 +15,10 @@ Requests (the ``op`` field selects the verb):
 * ``{"op": "ping"}`` — liveness; answered by ``{"ok": true, "pong": true}``.
 * ``{"op": "stats"}`` — shard/cache counters as JSON.
 
-Errors (malformed JSON, unknown op, bad action, shed load) answer
-``{"id": ..., "ok": false, "error": "..."}``; a shed response also
-carries ``"shed": true`` so clients can distinguish overload from a bad
-request.  The connection survives request-level errors; only framing
-violations (oversized or non-UTF-8 lines) close it.
+Errors (non-UTF-8 or malformed JSON, unknown op, bad action, a failed
+ruling) answer ``{"id": ..., "ok": false, "error": "..."}``.  The
+connection survives request-level errors; only an oversized line
+closes it, after an error response.
 
 The action codec below is the inverse problem of the ledger's ruling
 codec: every field of every frozen dataclass, enums by stable ``name``,

@@ -5,8 +5,8 @@ every action is routed by the hash of its canonical fingerprint to
 exactly one shard, and each shard owns a **private**
 :class:`~repro.core.cache.RulingCache` and
 :class:`~repro.core.engine.ComplianceEngine`.  Two shards never read or
-write the same cache, so there is nothing to contend on — a shard's
-worker can run its whole batch without synchronizing with anyone.
+write the same cache, so there is nothing to contend on — a shard can
+rule its whole sub-batch without synchronizing with anyone.
 
 What *is* shared is deliberately read-only or serialized elsewhere: the
 :class:`~repro.core.caselaw.AuthorityRegistry` (immutable after build,

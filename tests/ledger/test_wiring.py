@@ -231,6 +231,22 @@ class TestLedgerCli:
         out = capsys.readouterr().out
         assert "0 mismatch(es)" in out
 
+    def test_prime_verify_leaves_the_ledger_unchanged(self, tmp_path):
+        from repro.cli import main
+
+        path = str(tmp_path / "case.db")
+        assert main(["ledger", "populate", path]) == 0
+        with Ledger(path) as ledger:
+            before = ledger.counts()
+        # A verify corpus the ledger has never seen: every miss would be
+        # a new row if verifying recorded into the ledger.
+        assert (
+            main(["ledger", "prime", path, "--verify", "--corpus", "300"])
+            == 0
+        )
+        with Ledger(path) as ledger:
+            assert ledger.counts() == before
+
     def test_query_missing_ledger_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 

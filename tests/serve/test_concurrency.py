@@ -151,7 +151,8 @@ class TestConcurrentConnections:
             assert sum(
                 s["actions_ruled"] for s in stats["shards"]
             ) <= n_clients * len(corpus)
-            # Coalescing across connections means most lookups hit.
+            # The connections share the shard caches, so most lookups
+            # hit.
             assert stats["cache_hits"] > 0
 
 

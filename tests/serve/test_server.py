@@ -2,6 +2,7 @@
 
 import json
 import sqlite3
+import time
 import urllib.request
 
 import pytest
@@ -62,6 +63,10 @@ class TestOps:
                 assert client.read_response()["ok"] is False
                 client._sock.sendall(b"[" * 100_000 + b"\n")
                 assert client.read_response()["ok"] is False
+                client._sock.sendall(b"\xff\xfe\n")
+                response = client.read_response()
+                assert response["ok"] is False
+                assert "not UTF-8" in response["error"]
 
                 client.send_line({"op": "nope", "id": 1})
                 response = client.read_response()
@@ -105,43 +110,93 @@ class TestPipeliningAndBackpressure:
                     assert response["id"] == index
                     assert len(response["rulings"]) == len(batch)
 
-    def test_queue_policy_answers_everything_without_shedding(self):
+    def test_unread_pipelined_batches_are_all_answered_in_order(self):
         corpus = action_corpus(800, seed=34)
         batches = [corpus[i : i + 40] for i in range(0, 800, 40)]
-        config = _config(max_pending_batches=1, policy="queue")
-        with ServerThread(config) as thread:
+        with ServerThread(_config()) as thread:
             host, port = thread.address
             with ServeClient(host, port) as client:
+                # All 20 requests go out before any response is read.
                 for index, batch in enumerate(batches):
                     client.send_rule(index, batch)
                 answered = [client.read_response() for _ in batches]
-            assert all(r["ok"] for r in answered)
-            assert [r["id"] for r in answered] == list(range(len(batches)))
-            with ServeClient(host, port) as client:
-                assert client.stats()["stats"]["shed_total"] == 0
+        assert all(r["ok"] for r in answered)
+        assert [r["id"] for r in answered] == list(range(len(batches)))
+        served = [canonical_json(r) for a in answered for r in a["rulings"]]
+        assert served == _reference_strings(corpus)
 
-    def test_shed_policy_rejects_overload_with_shed_flag(self):
-        corpus = action_corpus(2_000, seed=35)
-        batches = [corpus[i : i + 100] for i in range(0, 2_000, 100)]
-        config = _config(max_pending_batches=1, policy="shed")
-        with ServerThread(config) as thread:
-            host, port = thread.address
-            with ServeClient(host, port) as client:
-                for index, batch in enumerate(batches):
-                    client.send_rule(index, batch)
-                answered = [client.read_response() for _ in batches]
-                shed = [r for r in answered if not r["ok"]]
-                ruled = [r for r in answered if r["ok"]]
-                # Everything got an answer, in order, and at least one
-                # batch was shed (depth 20 against a bound of 1).
-                assert [r["id"] for r in answered] == list(
-                    range(len(batches))
-                )
-                assert shed and ruled
-                assert all(r["shed"] is True for r in shed)
-                assert all(r["error"] == "overloaded" for r in shed)
-                stats = client.stats()["stats"]
-                assert stats["shed_total"] == len(shed)
+
+def _half_line_then_close(client, corpus) -> list:
+    client._sock.sendall(b'{"op": "rule", "id": 1, "actio')
+    return []
+
+
+def _garbage_between_rules(client, corpus) -> list:
+    client.send_rule(0, corpus[:5])
+    client._sock.sendall(b"\x00garbage\n")
+    client.send_rule(1, corpus[5:])
+    return [client.read_response() for _ in range(3)]
+
+
+def _rules_then_close_unread(client, corpus) -> list:
+    for request_id in range(3):
+        client.send_rule(request_id, corpus)
+    return []
+
+
+def _metrics_once_idle(address, timeout=10.0) -> str:
+    """Scrape ``/metrics`` until every NDJSON connection has closed."""
+    deadline = time.monotonic() + timeout
+    while True:
+        _status, text = _get(address, "/metrics")
+        if "repro_serve_connections 0" in text:
+            return text
+        assert time.monotonic() < deadline, "connections never drained"
+        time.sleep(0.02)
+
+
+class TestHostileConnection:
+    """Whatever one connection does, the server keeps serving others."""
+
+    @pytest.mark.parametrize(
+        "attack, bad_frames",
+        [
+            (_half_line_then_close, 1),
+            (_garbage_between_rules, 1),
+            (_rules_then_close_unread, 0),
+        ],
+        ids=["half-line", "garbage-between-rules", "close-unread"],
+    )
+    def test_server_recovers_from_a_hostile_connection(
+        self, attack, bad_frames
+    ):
+        corpus = action_corpus(30, seed=44)
+        reference = _reference_strings(corpus)
+        with ServerThread(_config()) as thread:
+            with ServeClient(*thread.address) as client:
+                answered = attack(client, corpus)
+            if answered:
+                # The garbage's error sits in its own slot, in order.
+                assert [r["ok"] for r in answered] == [True, False, True]
+                assert answered[0]["id"] == 0 and answered[2]["id"] == 1
+                assert answered[1]["id"] is None
+                served = [
+                    canonical_json(r)
+                    for r in answered[0]["rulings"] + answered[2]["rulings"]
+                ]
+                assert served == reference
+
+            with ServeClient(*thread.address) as client:
+                response = client.rule(corpus, request_id="fresh")
+            assert [
+                canonical_json(r) for r in response["rulings"]
+            ] == reference
+            text = _metrics_once_idle(thread.metrics_address)
+        marker = 'repro_serve_errors_total{reason="bad_frame"}'
+        if bad_frames:
+            assert f"{marker} {bad_frames}" in text
+        else:
+            assert marker not in text
 
 
 class TestDifferential:
@@ -196,8 +251,9 @@ class TestMetricsEndpoint:
                 'repro_ruling_cache_hits{cache="shard3"}',
                 "repro_serve_requests_total",
                 "repro_serve_actions_total 800",
-                "repro_serve_inflight_batches 0",
+                'repro_serve_shard_actions_total{shard="0"}',
                 "repro_serve_ruling_seconds_bucket",
+                "repro_serve_ruling_seconds_count 2",
                 "repro_serve_round_trip_seconds_bucket",
                 "repro_serve_round_trip_seconds_count 2",
                 "repro_serve_connections 1",
@@ -243,9 +299,10 @@ def _ledger_rows(path) -> int:
 
 
 class TestBatchFailure:
-    """The contract: the batch fails, the shard stays alive, and nothing
-    partial is persisted."""
+    """The contract: the request fails, the server carries on, and
+    nothing partial is persisted."""
 
+    @pytest.mark.parametrize("n_shards", [1, 4])
     @pytest.mark.parametrize(
         "owner, name, exc, after_real_call",
         [
@@ -260,7 +317,7 @@ class TestBatchFailure:
         ids=["ledger-commit", "shard-evaluate"],
     )
     def test_failed_batch_answers_an_error_and_the_shard_carries_on(
-        self, monkeypatch, tmp_path, owner, name, exc, after_real_call
+        self, monkeypatch, tmp_path, owner, name, exc, after_real_call, n_shards
     ):
         path = str(tmp_path / "serve.sqlite")
         failing = action_corpus(80, seed=39)
@@ -274,8 +331,8 @@ class TestBatchFailure:
                 ],
             }
         )
-        # One shard, so the whole request is the one batch that fails.
-        with ServerThread(_config(n_shards=1, ledger_path=path)) as thread:
+        config = _config(n_shards=n_shards, ledger_path=path)
+        with ServerThread(config) as thread:
             calls = _fail_first_call(
                 monkeypatch, owner, name, exc, after_real_call
             )
@@ -287,17 +344,30 @@ class TestBatchFailure:
 
                 client.send_rule(2, following)
                 assert client._reader.readline() == expected
-                # Nothing of the failed batch was persisted.
+                # Nothing of the failed request was persisted, on any
+                # shard.
                 assert _ledger_rows(path) == len(_fingerprints(following))
 
                 # Its rulings are recomputed, and recorded, when asked
-                # again: the shard did not keep serving cached rulings
-                # whose rows were rolled back.
+                # again: no shard kept serving cached rulings whose rows
+                # were rolled back.
                 assert client.rule(failing, request_id=3)["ok"] is True
                 _status, text = _get(thread.metrics_address, "/metrics")
-            assert calls == [name] * 3
+            # The failed request made one call; each later request makes
+            # one commit, or one call per shard it touches.
+            later = 2
+            if name == "evaluate_many":
+                later = sum(
+                    1
+                    for corpus in (following, failing)
+                    for positions in thread.server.router.partition(corpus)
+                    if positions
+                )
+            assert calls == [name] * (1 + later)
         assert 'repro_serve_errors_total{reason="internal"} 1' in text
-        assert "repro_serve_inflight_batches 0" in text
+        assert "repro_serve_ruling_seconds_count 2" in text
+        assert "repro_serve_round_trip_seconds_count 2" in text
+        assert "repro_serve_connections 1" in text
         assert _ledger_rows(path) == len(
             _fingerprints(failing) | _fingerprints(following)
         )
@@ -331,10 +401,6 @@ class TestLedgerIntegration:
     def test_prime_without_ledger_is_rejected(self):
         with pytest.raises(ValueError):
             ServerConfig(prime=True)
-
-    def test_bad_policy_is_rejected(self):
-        with pytest.raises(ValueError):
-            ServerConfig(policy="drop")
 
 
 class TestResponseEncoding:
