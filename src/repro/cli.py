@@ -12,7 +12,7 @@ Usage::
     python -m repro chaos --seed 7        # paper invariants under faults
     python -m repro bench --quick         # engine benchmarks -> BENCH_engine.json
     python -m repro serve                 # sharded ruling server + /metrics
-    python -m repro serve-bench --quick   # server load test -> BENCH_serve.json
+    python -m repro serve-bench --quick   # live-server byte-identity gate
     python -m repro metrics               # Prometheus text from a traced replay
     python -m repro trace --audit         # spans + authorizing instruments
     python -m repro workflow run photo-recovery --seed 7
@@ -697,10 +697,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         report, ok = run_serve_bench(
             quick=args.quick,
             connect=args.connect,
-            n_shards=args.shards,
-            batch_size=args.batch_size,
-            depth=args.depth,
-            target_rps=args.rps,
             out=args.out,
         )
     except (OSError, RuntimeError, ValueError) as error:
@@ -1307,8 +1303,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench = subparsers.add_parser(
         "serve-bench",
         help=(
-            "load-generate the ruling server + byte-differential gate "
-            "-> BENCH_serve.json"
+            "replay a corpus cold then hot against a live server and gate "
+            "on byte identity -> BENCH_serve.json"
         ),
     )
     serve_bench.add_argument(
@@ -1321,33 +1317,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help=(
-            "bench an already-running server instead of spawning one "
+            "gate an already-running server instead of spawning one "
             "in-process on an ephemeral port"
         ),
-    )
-    serve_bench.add_argument(
-        "--shards",
-        type=int,
-        default=4,
-        help="shards for the spawned in-process server",
-    )
-    serve_bench.add_argument(
-        "--batch-size",
-        type=int,
-        default=250,
-        help="actions per rule request",
-    )
-    serve_bench.add_argument(
-        "--depth",
-        type=int,
-        default=8,
-        help="pipelined requests kept in flight",
-    )
-    serve_bench.add_argument(
-        "--rps",
-        type=float,
-        default=None,
-        help="target offered load in rulings/second (default: closed loop)",
     )
     serve_bench.add_argument(
         "--out",

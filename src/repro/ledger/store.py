@@ -204,6 +204,7 @@ class Ledger:
             already correct and the write is skipped).
         """
         digest = fingerprint_digest(fingerprint)
+        reasoning = reasoning_text(ruling)
         db = self._db
         cursor = db.execute(
             """
@@ -219,7 +220,7 @@ class Ledger:
                 ruling.required_process.name,
                 int(ruling.needs_process),
                 ruling_to_json(ruling),
-                reasoning_text(ruling),
+                reasoning,
             ),
         )
         if cursor.rowcount == 0:
@@ -234,7 +235,7 @@ class Ledger:
         if self.fts_enabled:
             db.execute(
                 "INSERT INTO ruling_fts (rowid, reasoning) VALUES (?, ?)",
-                (ruling_id, reasoning_text(ruling)),
+                (ruling_id, reasoning),
             )
         self.stats.ruling_writes += 1
         return True

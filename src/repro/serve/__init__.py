@@ -18,13 +18,13 @@ process that many consumers share.  This package provides that:
   ``/metrics`` endpoint rendering the :mod:`repro.obs` registry
   (per-shard cache and action counters, latency histograms), and
   optional ledger persistence with startup cache priming;
-* :mod:`repro.serve.client` — a small blocking client for tests and
-  load generation;
-* :mod:`repro.serve.bench` — the ``repro serve-bench`` load generator:
-  replays the seeded corpora against a server, writes
-  ``BENCH_serve.json`` (sustained rulings/s, round-trip p50/p99, shard
-  balance, cache hit rate), and gates on the server responses being
-  byte-identical to in-process ``evaluate_many()``.
+* :mod:`repro.serve.client` — a small blocking client for the gate and
+  the tests;
+* :mod:`repro.serve.bench` — the ``repro serve-bench`` byte-identity
+  gate: replays a seeded corpus cold and then hot against a server,
+  writes ``BENCH_serve.json``, and fails unless every served ruling is
+  byte-identical to in-process ``evaluate_many()``.  It times nothing;
+  ``servebench/`` is the serve benchmark.
 """
 
 from repro.serve.protocol import (

@@ -1,10 +1,12 @@
 """A small blocking NDJSON client for the ruling server.
 
-Used by ``repro serve-bench``, the test suite, and CI's smoke job.  One
-socket, pipelining-capable: :meth:`ServeClient.send_rule` writes a
-request without waiting, :meth:`ServeClient.read_response` reads the
-next response line — responses arrive in request order, so a caller that
-keeps its own FIFO of request ids can drive the server at depth.
+Used by ``repro serve-bench`` (the byte-identity gate) and the test
+suite.  One socket, pipelining-capable: :meth:`ServeClient.send_rule`
+writes a request without waiting, :meth:`ServeClient.read_response`
+reads the next response line — responses arrive in request order, so a
+caller that keeps its own FIFO of request ids can drive the server at
+depth.  Response lines are bounded by the protocol's
+``MAX_RESPONSE_LINE_BYTES``.
 
 The client never *parses* ruling payloads beyond the envelope: the
 differential gate wants the server's ruling dicts re-rendered through
@@ -34,12 +36,10 @@ class ServeClient:
         host: str,
         port: int,
         timeout: float = 30.0,
-        max_line_bytes: int = MAX_RESPONSE_LINE_BYTES,
     ) -> None:
         self._sock = socket.create_connection((host, port), timeout=timeout)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._reader = self._sock.makefile("rb")
-        self._max_line_bytes = max_line_bytes
 
     def __enter__(self) -> ServeClient:
         return self
@@ -73,10 +73,10 @@ class ServeClient:
 
     def read_response(self) -> dict:
         """Read the next response line (request order is guaranteed)."""
-        line = self._reader.readline(self._max_line_bytes + 1)
+        line = self._reader.readline(MAX_RESPONSE_LINE_BYTES + 1)
         if not line:
             raise ConnectionError("server closed the connection")
-        if len(line) > self._max_line_bytes:
+        if len(line) > MAX_RESPONSE_LINE_BYTES:
             raise ValueError("response line exceeds framing bound")
         payload = json.loads(line.decode("utf-8"))
         if not isinstance(payload, dict):

@@ -64,8 +64,9 @@ class ServerConfig:
         cache_size: Per-shard LRU capacity.
         ledger_path: Optional SQLite ledger; fresh rulings persist here.
         prime: Warm every shard's cache from the ledger at startup.
-        max_batch_actions: Per-request action cap.
-        max_line_bytes: NDJSON framing bound.
+
+    The per-request action cap and the NDJSON framing bound are the
+    protocol's ``MAX_BATCH_ACTIONS`` and ``MAX_LINE_BYTES``.
     """
 
     host: str = "127.0.0.1"
@@ -75,10 +76,13 @@ class ServerConfig:
     cache_size: int = DEFAULT_CACHE_SIZE
     ledger_path: str | None = None
     prime: bool = False
-    max_batch_actions: int = MAX_BATCH_ACTIONS
-    max_line_bytes: int = MAX_LINE_BYTES
 
     def __post_init__(self) -> None:
+        # Refused here, before start() opens (and creates) any ledger.
+        if self.n_shards < 1:
+            raise ValueError(f"--shards must be >= 1: {self.n_shards}")
+        if self.cache_size < 1:
+            raise ValueError(f"--cache-size must be >= 1: {self.cache_size}")
         if self.prime and self.ledger_path is None:
             raise ValueError("--prime requires --ledger")
 
@@ -125,13 +129,13 @@ class RulingServer:
             self._handle_connection,
             config.host,
             config.port,
-            limit=config.max_line_bytes,
+            limit=MAX_LINE_BYTES,
         )
         self._metrics_server = await asyncio.start_server(
             self._handle_metrics,
             config.host,
             config.metrics_port,
-            limit=config.max_line_bytes,
+            limit=MAX_LINE_BYTES,
         )
 
     @property
@@ -288,10 +292,9 @@ class RulingServer:
         payload = message.get("actions")
         if not isinstance(payload, list):
             raise ProtocolError('"actions" must be an array')
-        if len(payload) > self.config.max_batch_actions:
+        if len(payload) > MAX_BATCH_ACTIONS:
             raise ProtocolError(
-                f"batch of {len(payload)} exceeds cap "
-                f"{self.config.max_batch_actions}"
+                f"batch of {len(payload)} exceeds cap {MAX_BATCH_ACTIONS}"
             )
         return [action_from_dict(item) for item in payload]
 

@@ -77,8 +77,9 @@ class ShardRouter:
             ``n_shards * cache_size``).
         ledger: Optional shared persistence backend; every shard's fresh
             rulings are recorded through it.
-        registry: Authority registry shared (read-only) by all shards;
-            built once by default.
+
+    The default authority registry is built once and shared (read-only)
+    by all shards as ``router.registry``.
     """
 
     def __init__(
@@ -86,13 +87,12 @@ class ShardRouter:
         n_shards: int = 4,
         cache_size: int = DEFAULT_CACHE_SIZE,
         ledger: RulingLedger | None = None,
-        registry: AuthorityRegistry | None = None,
     ) -> None:
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1: {n_shards}")
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1: {cache_size}")
-        self.registry = registry or build_default_registry()
+        self.registry = build_default_registry()
         self.shards = tuple(
             Shard(index, self.registry, cache_size, ledger)
             for index in range(n_shards)

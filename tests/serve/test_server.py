@@ -14,7 +14,12 @@ from repro.ledger.serialize import canonical_json, ruling_to_dict
 from repro.ledger.store import Ledger
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
-from repro.serve.protocol import encode_line
+from repro.serve.protocol import (
+    MAX_BATCH_ACTIONS,
+    MAX_LINE_BYTES,
+    action_to_dict,
+    encode_line,
+)
 from repro.serve.server import ServerConfig
 from repro.serve.shard import Shard
 from repro.workloads import action_corpus
@@ -86,14 +91,21 @@ class TestOps:
                 assert client.ping()["ok"] is True
 
     def test_batch_cap_is_enforced(self):
-        corpus = action_corpus(5, seed=32)
-        with ServerThread(_config(max_batch_actions=3)) as thread:
+        corpus = action_corpus(3, seed=32)
+        over_cap = [action_to_dict(corpus[0])] * (MAX_BATCH_ACTIONS + 1)
+        # The refused batch still fits one request frame, so it is the
+        # action cap that answers, not the framing bound.
+        assert len(
+            encode_line({"op": "rule", "id": 9, "actions": over_cap})
+        ) < MAX_LINE_BYTES
+        with ServerThread(_config()) as thread:
             host, port = thread.address
             with ServeClient(host, port) as client:
-                response = client.rule(corpus, request_id=9)
-                assert response["ok"] is False
+                client.send_line({"op": "rule", "id": 9, "actions": over_cap})
+                response = client.read_response()
+                assert response["ok"] is False and response["id"] == 9
                 assert "exceeds cap" in response["error"]
-                assert client.rule(corpus[:3], request_id=10)["ok"]
+                assert client.rule(corpus, request_id=10)["ok"]
 
 
 class TestPipeliningAndBackpressure:

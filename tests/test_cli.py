@@ -125,6 +125,18 @@ class TestBench:
         assert not out.exists()
 
 
+class TestServe:
+    @pytest.mark.parametrize("flag", ["--shards", "--cache-size"])
+    def test_zero_size_fails_cleanly_before_the_ledger_opens(
+        self, capsys, tmp_path, flag
+    ):
+        ledger = tmp_path / "y.db"
+        argv = ["serve", flag, "0", "--ledger", str(ledger)]
+        assert main([*argv, "--port", "0", "--metrics-port", "0"]) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().out
+        assert not ledger.exists()
+
+
 class TestParser:
     def test_no_command_exits(self):
         with pytest.raises(SystemExit):
