@@ -36,7 +36,6 @@ _ALLOWLISTED_FILES = {
     "cli.py",
     "__main__.py",
     "bench.py",
-    "bench_techniques.py",
 }
 
 #: Directories whose modules own the clock or the terminal.

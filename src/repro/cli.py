@@ -10,7 +10,7 @@ Usage::
     python -m repro lint                  # AST-lint the repo's invariants
     python -m repro analyze-plan table1   # static plan analysis
     python -m repro chaos --seed 7        # paper invariants under faults
-    python -m repro bench --quick         # engine benchmarks -> BENCH_engine.json
+    python -m repro bench --quick         # in-process benchmarks -> BENCH_engine.json
     python -m repro serve                 # sharded ruling server + /metrics
     python -m repro serve-bench --quick   # live-server byte-identity gate
     python -m repro metrics               # Prometheus text from a traced replay
@@ -592,36 +592,9 @@ def _cmd_ledger_vacuum(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.techniques:
-        from repro.bench_techniques import (
-            render_techniques_report,
-            run_techniques_bench,
-        )
-
-        out = (
-            args.out if args.out != "BENCH_engine.json"
-            else "BENCH_techniques.json"
-        )
-        report, ok = run_techniques_bench(
-            quick=args.quick, seed=args.seed, out=out
-        )
-        print(render_techniques_report(report))
-        print(f"wrote {out}")
-        _write_bench_trace(args)
-        return 0 if ok else 1
-
     from repro.bench import render_report, run_bench
 
-    try:
-        report, ok = run_bench(
-            quick=args.quick,
-            seed=args.seed,
-            corpus_size=args.corpus,
-            out=args.out,
-        )
-    except ValueError as error:
-        print(error)
-        return 1
+    report, ok = run_bench(quick=args.quick, seed=args.seed, out=args.out)
     print(render_report(report))
     print(f"wrote {args.out}")
     _write_bench_trace(args)
@@ -1216,38 +1189,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = subparsers.add_parser(
         "bench",
-        help="engine benchmarks + cache differential -> BENCH_engine.json",
+        help=(
+            "engine and technique-kernel benchmarks + correctness gates "
+            "-> BENCH_engine.json"
+        ),
     )
     bench.add_argument(
         "--quick",
         action="store_true",
-        help="smaller corpus and chaos sweep, for CI smoke runs",
+        help="smaller corpus, sweeps and campaign, for CI smoke runs",
     )
     bench.add_argument(
         "--seed", type=int, default=99, help="benchmark corpus seed"
     )
     bench.add_argument(
-        "--corpus",
-        type=int,
-        default=None,
-        help="override the benchmark corpus size",
-    )
-    bench.add_argument(
         "--out",
         default="BENCH_engine.json",
-        help=(
-            "where to write the JSON report (with --techniques the "
-            "default becomes BENCH_techniques.json)"
-        ),
-    )
-    bench.add_argument(
-        "--techniques",
-        action="store_true",
-        help=(
-            "benchmark the vectorized detection kernels and the parallel "
-            "campaign against their scalar references instead "
-            "-> BENCH_techniques.json"
-        ),
+        help="where to write the JSON report",
     )
     bench.add_argument(
         "--trace-out",

@@ -104,7 +104,7 @@ def case_signature(outcome: SceneOutcome) -> tuple:
     ids while agreeing in everything the paper's thesis depends on.  The
     signature captures that legally meaningful content — scene, ruling,
     process, suppression, custody/interruption shape — and is what the
-    parallel-equivalence tests and ``repro bench --techniques`` compare.
+    parallel-equivalence tests and ``repro bench`` compare.
     """
     evidence = outcome.evidence
     return (

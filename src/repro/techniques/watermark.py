@@ -348,7 +348,7 @@ def _reference_detect(
     One :meth:`WatermarkDetector.correlate` call (a fresh histogram) per
     trial offset — O(offsets x packets).  Production detection runs the
     vectorized kernels; the hypothesis equivalence suite and ``repro
-    bench --techniques`` hold the two paths together within 1e-9.
+    bench`` hold the two paths together within 1e-9.
     """
     threshold = detector.config.threshold(len(detector.code))
     if not arrival_times:

@@ -462,7 +462,6 @@ class TestTelemetryChannel:
             "src/repro/cli.py",
             "src/repro/__main__.py",
             "src/repro/bench.py",
-            "src/repro/bench_techniques.py",
         ):
             assert findings(TelemetryChannelRule(), source, path) == []
 

@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import json
+import os
+
 import pytest
 
+from repro import bench
 from repro.cli import main
 
 
@@ -93,21 +97,43 @@ class TestAuthorities:
         assert "reasonable expectation of privacy" in capsys.readouterr().out
 
 
+#: Every section whose top-level ``ok`` the bench gates on.
+GATED_BENCH_SECTIONS = (
+    "table1",
+    "chaos",
+    "differential",
+    "obs_overhead",
+    "cold_floor",
+    "dsss",
+    "square_wave",
+    "flow_correlation",
+    "visibility",
+    "campaign",
+    "conclusions",
+)
+
+
 class TestBench:
-    def test_quick_bench_writes_report(self, capsys, tmp_path):
+    def test_quick_bench_writes_report(self, capsys, tmp_path, monkeypatch):
+        # 200 actions sits below the size the cold-floor and obs-overhead
+        # ratio gates are enforced at (a few ms per timed side cannot
+        # resolve a 3-5% ratio); CI's bench-smoke job runs them at size.
+        monkeypatch.setattr(bench, "QUICK_CORPUS_SIZE", 200)
         out = tmp_path / "BENCH_engine.json"
-        code = main(
-            ["bench", "--quick", "--corpus", "200", "--out", str(out)]
-        )
+        code = main(["bench", "--quick", "--out", str(out)])
         assert code == 0
         text = capsys.readouterr().out
         assert "speedup (hot vs uncached)" in text
         assert "differential: 200 actions, 0 mismatches" in text
 
-        import json
-
         report = json.loads(out.read_text(encoding="utf-8"))
         assert report["ok"] is True
+        assert {
+            name
+            for name, section in report.items()
+            if isinstance(section, dict) and "ok" in section
+        } == set(GATED_BENCH_SECTIONS)
+        assert report["meta"]["cpu_count"] == os.cpu_count()
         assert report["differential"]["identical"] is True
         assert report["differential"]["second_pass_hit_rate"] > 0
         assert report["table1"]["agreement"] == "20/20"
@@ -116,13 +142,38 @@ class TestBench:
             report["latency"]["cached_hot"]["p50_us"]
             <= report["latency"]["uncached"]["p99_us"]
         )
+        for name in ("dsss", "square_wave", "flow_correlation", "visibility"):
+            assert report[name]["ok"] is True, name
+        assert report["campaign"]["ok"] is True
+        conclusions = report["conclusions"]
+        assert conclusions["table1"]["agreement"] == "20/20"
+        assert conclusions["section_iv_a"]["required_process"] == "NONE"
+        assert conclusions["section_iv_a"]["identified_sources"] == [
+            "direct-source"
+        ]
+        assert conclusions["section_iv_b"]["required_process"] == "COURT_ORDER"
 
-    def test_invalid_corpus_size_fails_cleanly(self, capsys, tmp_path):
+    @pytest.mark.parametrize("failing", GATED_BENCH_SECTIONS)
+    def test_any_failing_gate_fails_the_run(
+        self, capsys, tmp_path, monkeypatch, failing
+    ):
+        def stub(name):
+            if name not in GATED_BENCH_SECTIONS:
+                return lambda run: {}
+            return lambda run: {"ok": name != failing}
+
+        monkeypatch.setattr(
+            bench,
+            "SECTIONS",
+            tuple(
+                (name, stub(name), lambda section: "")
+                for name, _, _ in bench.SECTIONS
+            ),
+        )
         out = tmp_path / "BENCH_engine.json"
-        code = main(["bench", "--corpus", "-5", "--out", str(out)])
-        assert code == 1
-        assert "corpus size must be >= 1" in capsys.readouterr().out
-        assert not out.exists()
+        assert main(["bench", "--quick", "--out", str(out)]) == 1
+        assert json.loads(out.read_text(encoding="utf-8"))["ok"] is False
+        assert "overall: FAIL" in capsys.readouterr().out
 
 
 class TestServe:
