@@ -546,6 +546,7 @@ def _cmd_ledger_stats(args: argparse.Namespace) -> int:
 
 def _cmd_ledger_prime(args: argparse.Namespace) -> int:
     from repro.core import RulingCache
+    from repro.ledger.serialize import ruling_to_json
     from repro.workloads import action_corpus
 
     ledger = _open_ledger(args.path)
@@ -565,8 +566,10 @@ def _cmd_ledger_prime(args: argparse.Namespace) -> int:
         fresh = ComplianceEngine()
         fresh_rulings = fresh.evaluate_many(corpus)
         primed_rulings = primed.evaluate_many(corpus)
+        # The complete encoding: to_dict() and explain() would miss a
+        # tampered privacy.steps or per-requirement trace.
         mismatches = sum(
-            f.to_dict() != p.to_dict() or f.explain() != p.explain()
+            ruling_to_json(f) != ruling_to_json(p)
             for f, p in zip(fresh_rulings, primed_rulings)
         )
         hits = primed.cache_stats.hits

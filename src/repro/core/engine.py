@@ -31,12 +31,34 @@ from repro.core.fingerprint import action_fingerprint
 from repro.core.privacy import analyze_privacy
 from repro.core.ruling import (
     AppliedException,
+    PrivacyFinding,
     ReasoningStep,
     Requirement,
     Ruling,
 )
 from repro.core.statutes import fourth_amendment, pentrap, sca, wiretap
 from repro.obs import OBS, span
+
+
+#: Cap on the ruling intern table (entries).  A full table is cleared
+#: wholesale and refilled, like the wire decoder's intern tables, so
+#: traffic with endlessly new rule outputs cannot grow memory.
+RULING_INTERN_MAX = 4096
+
+# One shared ruling per distinct (privacy, requirements, exceptions)
+# rule output.  Rule outputs repeat far more than actions do (the serve
+# benchmark's 24,576 cold actions yield 2,188 distinct rulings), so the
+# cache, the wire encoder and the ledger all hold and encode each one
+# once.  Only rulings built by the pipeline below go in: a ruling decoded
+# from a ledger row is never trusted to stand in for a fresh evaluation.
+# Threads racing on one key at worst build the same ruling twice; every
+# entry is a complete ruling for its key.
+_RULINGS: dict[tuple, Ruling] = {}
+
+
+def interned_rulings() -> int:
+    """How many distinct rulings the intern table currently holds."""
+    return len(_RULINGS)
 
 
 @runtime_checkable
@@ -280,6 +302,27 @@ class ComplianceEngine:
         exceptions = list(gather_exceptions(action))
         exceptions.extend(self._statutory_exceptions(action))
 
+        # Combination and the trace are pure functions of the rule
+        # outputs, so equal outputs share one ruling.
+        key = (privacy, tuple(requirements), tuple(exceptions))
+        ruling = _RULINGS.get(key)
+        if ruling is None:
+            ruling = self._combine(privacy, requirements, exceptions)
+            if len(_RULINGS) >= RULING_INTERN_MAX:
+                _RULINGS.clear()
+            _RULINGS[key] = ruling
+        # Engines with different registries share the table, so every
+        # evaluation checks against this engine's registry, hit or miss.
+        self._check_citations(ruling.steps)
+        return ruling
+
+    def _combine(
+        self,
+        privacy: PrivacyFinding,
+        requirements: list[Requirement],
+        exceptions: list[AppliedException],
+    ) -> Ruling:
+        """The surviving maximum requirement plus the flattened trace."""
         eliminated: frozenset[LegalSource] = frozenset()
         for exception in exceptions:
             eliminated = eliminated | exception.eliminates
@@ -289,15 +332,12 @@ class ComplianceEngine:
             (r.process for r in surviving), default=ProcessKind.NONE
         )
 
-        steps = self._flatten_steps(privacy.steps, requirements, exceptions)
-        self._check_citations(steps)
-
         return Ruling(
             required_process=required_process,
             requirements=tuple(requirements),
             exceptions=tuple(exceptions),
             privacy=privacy,
-            steps=steps,
+            steps=self._flatten_steps(privacy.steps, requirements, exceptions),
         )
 
     def _statutory_exceptions(

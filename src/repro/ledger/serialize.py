@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
+from repro.core import engine
 from repro.core.enums import ExceptionKind, LegalSource, ProcessKind
 from repro.core.fingerprint import ActionFingerprint
 from repro.core.ruling import (
@@ -145,9 +146,29 @@ def ruling_from_dict(payload: dict) -> Ruling:
     )
 
 
+# Canonical text per ruling object, keyed by id().  Each entry holds
+# its ruling, which pins the id; the cap is the engine's intern cap and a
+# full memo is cleared wholesale.  The text is always derived from the
+# object, never taken from a stored row, so a non-canonical row still
+# encodes canonically once decoded.
+_TEXTS: dict[int, tuple[Ruling, str]] = {}
+
+
 def ruling_to_json(ruling: Ruling) -> str:
-    """Canonical JSON text for a ruling (equal rulings → equal bytes)."""
-    return _canonical(ruling_to_dict(ruling))
+    """Canonical JSON text for a ruling (equal rulings → equal bytes).
+
+    Memoized per ruling object: the engine interns rulings by their rule
+    outputs, so the wire encoder and the ledger writer encode each
+    distinct ruling once.
+    """
+    hit = _TEXTS.get(id(ruling))
+    if hit is not None:
+        return hit[1]
+    text = _canonical(ruling_to_dict(ruling))
+    if len(_TEXTS) >= engine.RULING_INTERN_MAX:
+        _TEXTS.clear()
+    _TEXTS[id(ruling)] = (ruling, text)
+    return text
 
 
 def ruling_from_json(text: str) -> Ruling:

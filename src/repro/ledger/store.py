@@ -265,7 +265,10 @@ class Ledger:
         Ordered by fingerprint digest, so iteration order is a pure
         function of ledger *content* — two ledgers holding the same
         rulings stream identically no matter what order the rows
-        arrived in.
+        arrived in.  Rows with identical ``ruling_json`` text share one
+        decoded ruling for the length of one iteration: many
+        fingerprints hold the same ruling, so each distinct text is
+        decoded and held once.
         """
         sql = (
             "SELECT fingerprint_json, ruling_json FROM rulings "
@@ -273,12 +276,14 @@ class Ledger:
         )
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
+        decoded: dict[str, Ruling] = {}
         for row in self._db.execute(sql):
             self.stats.primed_rulings += 1
-            yield (
-                fingerprint_from_json(row["fingerprint_json"]),
-                ruling_from_json(row["ruling_json"]),
-            )
+            text = row["ruling_json"]
+            ruling = decoded.get(text)
+            if ruling is None:
+                ruling = decoded[text] = ruling_from_json(text)
+            yield fingerprint_from_json(row["fingerprint_json"]), ruling
 
     # -- dockets and instruments -------------------------------------------------
 

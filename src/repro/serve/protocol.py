@@ -128,8 +128,8 @@ _PROVIDER_ROLES = dict(ProviderRole.__members__)
 _CONSENT_SCOPES = dict(ConsentScope.__members__)
 
 #: Cap on each intern table below (entries).  A full table is cleared
-#: wholesale and refilled, like the server's encode memo, so hostile
-#: traffic with endlessly new parts cannot grow memory.
+#: wholesale and refilled, like the engine's ruling intern table, so
+#: hostile traffic with endlessly new parts cannot grow memory.
 INTERN_MAX = 4096
 
 # One frozen part per distinct tuple of *coerced* field values.  Parts

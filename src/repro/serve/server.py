@@ -10,6 +10,9 @@ One event loop, two listeners:
   through :meth:`ShardRouter.evaluate_many` (each action on the shard
   that owns its fingerprint, each shard with a private cache and
   engine), commit the ledger once, encode the response and write it.
+  Every shard's engine shares one ruling per distinct rule output, and
+  each ruling's canonical text is encoded once and reused by the
+  response encoder and the ledger writer alike.
   Responses therefore leave in request order per connection, and the
   handler yields to the loop after each one so other connections get
   their turn between requests.  No shard ever touches another shard's
@@ -38,7 +41,12 @@ import dataclasses
 import sqlite3
 
 from repro.core.cache import DEFAULT_CACHE_SIZE
-from repro.ledger.serialize import canonical_json, ruling_to_dict
+from repro.core.engine import interned_rulings
+from repro.ledger.serialize import (
+    canonical_json,
+    ruling_to_dict,  # noqa: F401 - servebench/tracing.py wraps it by name
+    ruling_to_json,
+)
 from repro.ledger.store import Ledger
 from repro.obs import OBS, bind_ruling_cache, clock
 from repro.serve.protocol import (
@@ -94,16 +102,6 @@ class RulingServer:
         self.config = config or ServerConfig()
         self.router: ShardRouter | None = None
         self.primed_rulings = 0
-        # Ruling objects are interned per fingerprint by the shard
-        # caches, so encoding each distinct object once and joining the
-        # memoized strings makes hot responses a lookup + join instead
-        # of a full re-serialization.  Keyed by id() — safe only because
-        # the memo also holds the ruling, pinning the id.  Bounded by
-        # the shard caches' total capacity, so it never pins more
-        # rulings than the caches can hold; when full it is dropped
-        # wholesale and rebuilt — O(1) amortized.
-        self._encode_memo: dict[int, tuple[object, str]] = {}
-        self._encode_memo_max = self.config.n_shards * self.config.cache_size
         self._ledger: Ledger | None = None
         self._rpc_server: asyncio.Server | None = None
         self._metrics_server: asyncio.Server | None = None
@@ -196,6 +194,11 @@ class RulingServer:
         self._round_trip_seconds = registry.histogram(
             "repro_serve_round_trip_seconds",
             "Request latency from line read to response bytes ready.",
+        )
+        registry.gauge_fn(
+            "repro_ruling_intern_entries",
+            lambda: float(interned_rulings()),
+            "Distinct rulings held in the engine's intern table.",
         )
         for shard in self.router.shards:
             bind_ruling_cache(shard.cache.stats, name=f"shard{shard.index}")
@@ -299,16 +302,8 @@ class RulingServer:
         return [action_from_dict(item) for item in payload]
 
     def _encode_ruling(self, ruling) -> str:
-        """Canonical JSON for one ruling, memoized per interned object."""
-        key = id(ruling)
-        hit = self._encode_memo.get(key)
-        if hit is not None:
-            return hit[1]
-        if len(self._encode_memo) >= self._encode_memo_max:
-            self._encode_memo.clear()
-        text = canonical_json(ruling_to_dict(ruling))
-        self._encode_memo[key] = (ruling, text)
-        return text
+        """Canonical JSON for one ruling, memoized per ruling object."""
+        return ruling_to_json(ruling)
 
     def _encode_rule_response(
         self, request_id: object, rulings: list
@@ -318,7 +313,9 @@ class RulingServer:
         Byte-identical to ``encode_line({"id": ..., "ok": True,
         "rulings": [...]})``: the envelope keys are already in canonical
         (sorted) order and each memoized string is exactly the canonical
-        encoding of its ruling dict.
+        encoding of its ruling dict.  The engine interns rulings by
+        their rule outputs, so a ruling seen before, hot or cold, costs
+        a lookup here instead of a re-serialization.
         """
         envelope = canonical_json({"id": request_id, "ok": True})
         parts = [envelope[:-1], ',"rulings":[']
@@ -330,6 +327,7 @@ class RulingServer:
         assert self.router is not None
         stats = self.router.stats()
         stats["primed_rulings"] = self.primed_rulings
+        stats["interned_rulings"] = interned_rulings()
         return {"ok": True, "stats": stats}
 
     # -- metrics HTTP ------------------------------------------------------------

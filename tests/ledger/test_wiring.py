@@ -247,6 +247,42 @@ class TestLedgerCli:
         with Ledger(path) as ledger:
             assert ledger.counts() == before
 
+    def test_prime_verify_catches_a_dropped_privacy_step(
+        self, tmp_path, capsys
+    ):
+        """Neither ``to_dict()`` nor ``explain()`` shows
+        ``privacy.steps``; the complete encoding does."""
+        import json
+        import sqlite3
+
+        from repro.cli import main
+        from repro.ledger.serialize import canonical_json
+
+        path = str(tmp_path / "case.db")
+        assert main(["ledger", "populate", path, "--corpus", "300"]) == 0
+        connection = sqlite3.connect(path)
+        tampered = 0
+        with connection:
+            rows = connection.execute(
+                "SELECT id, ruling_json FROM rulings"
+            ).fetchall()
+            for row_id, text in rows:
+                payload = json.loads(text)
+                if payload["privacy"]["steps"]:
+                    payload["privacy"]["steps"].pop()
+                    connection.execute(
+                        "UPDATE rulings SET ruling_json = ? WHERE id = ?",
+                        (canonical_json(payload), row_id),
+                    )
+                    tampered += 1
+        connection.close()
+        assert tampered > 0
+        assert (
+            main(["ledger", "prime", path, "--verify", "--corpus", "300"])
+            == 1
+        )
+        assert "LEDGER DIVERGENCE" in capsys.readouterr().out
+
     def test_query_missing_ledger_is_an_error(self, tmp_path, capsys):
         from repro.cli import main
 

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.core.cache import RulingCache
-from repro.core.engine import ComplianceEngine
+from repro.core.engine import RULING_INTERN_MAX, ComplianceEngine
 from repro.core.fingerprint import action_fingerprint
 from repro.ledger.serialize import canonical_json, ruling_to_dict
 from repro.ledger.store import Ledger
@@ -59,6 +59,9 @@ class TestOps:
                 assert sum(
                     s["actions_ruled"] for s in stats["shards"]
                 ) == len(corpus)
+                # The intern table is process-wide, so other servers in
+                # this process may have filled it too.
+                assert 1 <= stats["interned_rulings"] <= RULING_INTERN_MAX
 
     def test_connection_survives_request_level_errors(self):
         with ServerThread(_config()) as thread:
@@ -269,6 +272,7 @@ class TestMetricsEndpoint:
                 "repro_serve_round_trip_seconds_bucket",
                 "repro_serve_round_trip_seconds_count 2",
                 "repro_serve_connections 1",
+                "repro_ruling_intern_entries",
             ):
                 assert marker in text, marker
 
