@@ -148,18 +148,51 @@ _FIELD_ENUMS = {
 }
 
 
+def _field_pieces(name: str) -> dict:
+    """``name=value`` pieces of one field, keyed by ``(type, stored value)``.
+
+    One entry per enum member (by its stored ``.value``) for an enum
+    field, ``True``/``False`` for a flag field, and ``None`` for both,
+    each rendered exactly as :func:`describe_fingerprint` shows it.  The
+    key carries the value's type, so an off-type value that compares
+    equal to a table value (``1 == True``) misses instead of borrowing
+    its piece.
+    """
+    enum_type = _FIELD_ENUMS.get(name)
+    pieces = {(type(None), None): f"{name}=None"}
+    if enum_type is None:
+        for flag in (True, False):
+            pieces[bool, flag] = f"{name}={flag!s}"
+    else:
+        for member in enum_type:
+            pieces[type(member._value_), member._value_] = f"{name}={member!s}"
+    return pieces
+
+
+#: Per-position piece tables for :func:`fingerprint_digest`.
+_PIECES = tuple(_field_pieces(name) for name in _FIELD_NAMES)
+
+
 def fingerprint_digest(fingerprint: ActionFingerprint) -> str:
     """Stable SHA-256 hex digest of a fingerprint.
 
     Enum-bearing fields render as ``ClassName.MEMBER`` so the digest
     survives process restarts and is safe to persist (tuple ``hash()`` is
     salted per interpreter; this is not) — and is unchanged from when the
-    fingerprint tuple carried the enum members themselves.
+    fingerprint tuple carried the enum members themselves.  Each field's
+    ``name=value`` piece comes from a precomputed table; a value the
+    table lacks is rendered through :func:`describe_fingerprint`, which
+    yields the same text for every value the table holds.
     """
-    rendered = "|".join(
-        f"{name}={value!s}"
-        for name, value in describe_fingerprint(fingerprint).items()
-    )
+    try:
+        rendered = "|".join(
+            map(dict.get, _PIECES, zip(map(type, fingerprint), fingerprint))
+        )
+    except TypeError:  # a missing piece (None) or an unhashable value
+        rendered = "|".join(
+            f"{name}={value!s}"
+            for name, value in describe_fingerprint(fingerprint).items()
+        )
     return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 

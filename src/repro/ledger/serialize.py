@@ -36,11 +36,13 @@ if TYPE_CHECKING:  # imported only for annotations; avoids module cycles
     from repro.evidence.custody import CustodyEntry
 
 
-def _canonical(payload: object) -> str:
-    """Compact, sorted-key JSON — the ledger's canonical text form."""
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    )
+#: Compact, sorted-key JSON — the ledger's canonical text form.  One
+#: shared encoder with exactly the settings ``json.dumps(payload,
+#: sort_keys=True, separators=(",", ":"), ensure_ascii=False)`` builds
+#: afresh on every call; its output is byte-identical.
+_canonical = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 # -- fingerprints ----------------------------------------------------------------
@@ -146,12 +148,32 @@ def ruling_from_dict(payload: dict) -> Ruling:
     )
 
 
-# Canonical text per ruling object, keyed by id().  Each entry holds
-# its ruling, which pins the id; the cap is the engine's intern cap and a
-# full memo is cleared wholesale.  The text is always derived from the
-# object, never taken from a stored row, so a non-canonical row still
-# encodes canonically once decoded.
-_TEXTS: dict[int, tuple[Ruling, str]] = {}
+class _Texts:
+    """The texts derived from one ruling object, each built on first use."""
+
+    __slots__ = ("ruling", "json", "reasoning", "citations")
+
+    def __init__(self, ruling: Ruling) -> None:
+        self.ruling = ruling  # pins the id() the entry is keyed by
+        self.json: str | None = None
+        self.reasoning: str | None = None
+        self.citations: tuple[str, ...] | None = None
+
+
+# Derived texts per ruling object, keyed by id().  The cap is the
+# engine's intern cap and a full memo is cleared wholesale.  Every text
+# is always derived from the object, never taken from a stored row, so a
+# non-canonical row still encodes canonically once decoded.
+_TEXTS: dict[int, _Texts] = {}
+
+
+def _texts(ruling: Ruling) -> _Texts:
+    entry = _TEXTS.get(id(ruling))
+    if entry is None:
+        if len(_TEXTS) >= engine.RULING_INTERN_MAX:
+            _TEXTS.clear()
+        entry = _TEXTS[id(ruling)] = _Texts(ruling)
+    return entry
 
 
 def ruling_to_json(ruling: Ruling) -> str:
@@ -161,13 +183,10 @@ def ruling_to_json(ruling: Ruling) -> str:
     outputs, so the wire encoder and the ledger writer encode each
     distinct ruling once.
     """
-    hit = _TEXTS.get(id(ruling))
-    if hit is not None:
-        return hit[1]
-    text = _canonical(ruling_to_dict(ruling))
-    if len(_TEXTS) >= engine.RULING_INTERN_MAX:
-        _TEXTS.clear()
-    _TEXTS[id(ruling)] = (ruling, text)
+    entry = _TEXTS.get(id(ruling)) or _texts(ruling)
+    text = entry.json
+    if text is None:
+        text = entry.json = _canonical(ruling_to_dict(ruling))
     return text
 
 
@@ -243,14 +262,24 @@ def reasoning_text(ruling: Ruling) -> str:
 
     One line per step, rendered exactly as ``explain()`` renders it
     (``(source) text [cites]``), so full-text queries match what a
-    human reads in the trace.
+    human reads in the trace.  Memoized per ruling object alongside
+    :func:`ruling_to_json`'s text.
     """
-    return "\n".join(str(step) for step in ruling.steps)
+    entry = _texts(ruling)
+    if entry.reasoning is None:
+        entry.reasoning = "\n".join(str(step) for step in ruling.steps)
+    return entry.reasoning
 
 
 def citation_keys(ruling: Ruling) -> tuple[str, ...]:
-    """Every authority key the ruling's trace cites, sorted and unique."""
-    keys: set[str] = set()
-    for step in ruling.steps:
-        keys.update(step.authorities)
-    return tuple(sorted(keys))
+    """Every authority key the ruling's trace cites, sorted and unique.
+
+    Memoized per ruling object alongside :func:`ruling_to_json`'s text.
+    """
+    entry = _texts(ruling)
+    if entry.citations is None:
+        keys: set[str] = set()
+        for step in ruling.steps:
+            keys.update(step.authorities)
+        entry.citations = tuple(sorted(keys))
+    return entry.citations

@@ -47,6 +47,16 @@ from repro.ledger.serialize import (
 )
 
 
+#: Journal mode of every file-backed ledger.  A commit appends to the
+#: ``-wal`` side file and syncs it once; a clean :meth:`Ledger.close`
+#: checkpoints it back into the database file and removes the side files.
+JOURNAL_MODE = "WAL"
+
+#: ``FULL``, not ``NORMAL``: under ``NORMAL`` a WAL commit returns before
+#: the WAL is synced, so an answered ruling could vanish on power loss.
+SYNCHRONOUS = "FULL"
+
+
 class LedgerError(Exception):
     """Raised on ledger misuse (closed handle, bad migration state)."""
 
@@ -136,7 +146,16 @@ class Ledger:
         self._connection.execute("PRAGMA foreign_keys = ON")
         self.stats = LedgerStats()
         self.fts_enabled = _fts_available(self._connection)
-        self._migrate()
+        try:
+            self._migrate()
+        except LedgerError:
+            self.close()
+            raise
+        # Only a file the migration accepted is switched to WAL, so a
+        # refused newer-schema file is left exactly as it was found.  An
+        # in-memory database keeps its "memory" journal.
+        self._connection.execute(f"PRAGMA journal_mode = {JOURNAL_MODE}")
+        self._connection.execute(f"PRAGMA synchronous = {SYNCHRONOUS}")
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -147,7 +166,12 @@ class Ledger:
         self.close()
 
     def close(self) -> None:
-        """Commit and release the underlying connection (idempotent)."""
+        """Commit and release the underlying connection (idempotent).
+
+        Closing the file's last connection checkpoints the WAL into the
+        database file and removes the ``-wal`` and ``-shm`` side files,
+        so a closed ledger is one self-contained file again.
+        """
         if self._connection is not None:
             self._connection.commit()
             self._connection.close()
@@ -533,6 +557,7 @@ class Ledger:
             "schema_version": self.schema_version,
             "schema_digest": schema.schema_digest(),
             "fts_enabled": self.fts_enabled,
+            "journal_mode": db.execute("PRAGMA journal_mode").fetchone()[0],
             "size_bytes": page_count * page_size,
             "counts": self.counts(),
             "session_stats": self.stats.to_dict(),

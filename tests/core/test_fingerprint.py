@@ -8,6 +8,7 @@ same ruling.
 """
 
 import dataclasses
+import hashlib
 import random
 
 from repro.core import (
@@ -24,8 +25,9 @@ from repro.core import (
     action_fingerprint,
     fingerprint_digest,
 )
+from repro.core import fingerprint as fingerprint_module
 from repro.core.fingerprint import describe_fingerprint
-from repro.workloads import random_action
+from repro.workloads import action_corpus, random_action
 
 _ENGINE = ComplianceEngine()
 
@@ -156,3 +158,87 @@ class TestFingerprintSoundnessSweep:
             payload = _ENGINE.evaluate(action).to_dict()
             seen = by_fingerprint.setdefault(fingerprint, payload)
             assert seen == payload
+
+
+def _reference_digest(fingerprint) -> str:
+    """The digest's definition: the describe-based ``name=value`` join."""
+    rendered = "|".join(
+        f"{name}={value!s}"
+        for name, value in describe_fingerprint(fingerprint).items()
+    )
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
+def _outcome(digest, fingerprint):
+    """A digest, or the type of the error computing it raised."""
+    try:
+        return digest(fingerprint)
+    except Exception as error:
+        return type(error)
+
+
+#: Values no fingerprint position stores: ints and a float equal to the
+#: flags, a string, an enum member in place of its value, an unhashable.
+_OFF_TYPE = (1, 0, 1.0, "x", Actor.GOVERNMENT, [True])
+
+
+class TestDigestTable:
+    """The table-rendered digest equals the reference rendering."""
+
+    def _positions(self):
+        base = action_fingerprint(_base_action())
+        for index, name in enumerate(fingerprint_module._FIELD_NAMES):
+            enum_type = fingerprint_module._FIELD_ENUMS.get(name)
+            if enum_type is None:
+                stored = [True, False, None]
+            else:
+                stored = [member.value for member in enum_type] + [None]
+            yield base, index, stored
+
+    @staticmethod
+    def _with(base, index, value):
+        return base[:index] + (value,) + base[index + 1 :]
+
+    def test_every_stored_value_at_every_position(self):
+        checked = 0
+        for base, index, stored in self._positions():
+            for value in stored:
+                fingerprint = self._with(base, index, value)
+                assert fingerprint_digest(fingerprint) == _reference_digest(
+                    fingerprint
+                ), (index, value)
+                checked += 1
+        assert checked == 20 * 3 + sum(
+            len(enum_type) + 1
+            for enum_type in fingerprint_module._FIELD_ENUMS.values()
+        )
+
+    def test_off_type_values_render_as_the_reference_does(self):
+        for base, index, __ in self._positions():
+            for value in _OFF_TYPE:
+                fingerprint = self._with(base, index, value)
+                assert _outcome(fingerprint_digest, fingerprint) == _outcome(
+                    _reference_digest, fingerprint
+                ), (index, value)
+
+    def test_an_int_never_takes_the_bool_piece(self):
+        base = action_fingerprint(_base_action())
+        index = fingerprint_module._FIELD_NAMES.index("encrypted")
+        as_int = self._with(base, index, 1)
+        as_bool = self._with(base, index, True)
+        assert fingerprint_digest(as_int) != fingerprint_digest(as_bool)
+        assert fingerprint_digest(as_int) == _reference_digest(as_int)
+
+    def test_short_and_long_tuples_match_the_reference(self):
+        base = action_fingerprint(_base_action())
+        for fingerprint in (base[:5], base + (True,), ()):
+            assert fingerprint_digest(fingerprint) == _reference_digest(
+                fingerprint
+            )
+
+    def test_corpus_digests_are_unchanged(self):
+        for action in action_corpus(5000, seed=3):
+            fingerprint = action_fingerprint(action)
+            assert fingerprint_digest(fingerprint) == _reference_digest(
+                fingerprint
+            )

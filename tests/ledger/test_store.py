@@ -3,9 +3,11 @@
 Covers the migration runner (version stamping, reopen, refusal of
 newer-schema files), idempotent writes per record family, byte-exact
 ruling reload, the FTS5 feature gate and its portable fallback, and
-handle lifecycle errors.
+handle lifecycle errors, and the WAL journal (its mode, its side files
+while open, and one self-contained file after close).
 """
 
+import shutil
 import sqlite3
 
 import pytest
@@ -70,6 +72,32 @@ class TestMigrations:
         db.close()
         with pytest.raises(LedgerError, match="newer"):
             Ledger(path)
+
+    def test_refused_file_is_untouched_and_its_connection_closed(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "future.db"
+        db = sqlite3.connect(path)
+        db.execute("CREATE TABLE later (x)")
+        db.execute(f"PRAGMA user_version = {SCHEMA_VERSION + 1}")
+        db.commit()
+        db.close()
+        before = path.read_bytes()
+        opened = []
+        connect = sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(store_mod.sqlite3, "connect", recording_connect)
+        with pytest.raises(LedgerError, match="newer"):
+            Ledger(path)
+        assert len(opened) == 1
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["future.db"]
 
     def test_data_survives_reopen(self, tmp_path, scene_rulings):
         path = tmp_path / "case.db"
@@ -294,3 +322,46 @@ class TestLifecycle:
         with Ledger(":memory:") as ledger:
             payload = json.loads(json.dumps(ledger.describe()))
         assert payload["schema_version"] == SCHEMA_VERSION
+        assert payload["journal_mode"] == "memory"
+
+
+class TestJournal:
+    def test_file_ledger_is_wal_with_full_sync(self, tmp_path, capsys):
+        import json
+
+        from repro.cli import main
+
+        path = tmp_path / "case.db"
+        with Ledger(path) as ledger:
+            assert ledger.describe()["journal_mode"] == "wal"
+            synchronous = ledger._db.execute("PRAGMA synchronous").fetchone()
+            assert synchronous[0] == 2  # FULL
+        capsys.readouterr()
+        assert main(["ledger", "stats", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["journal_mode"] == "wal"
+
+    def test_in_memory_ledger_keeps_memory_journal(self):
+        with Ledger(":memory:") as ledger:
+            assert ledger.describe()["journal_mode"] == "memory"
+
+    def test_close_leaves_one_self_contained_file(
+        self, tmp_path, scene_rulings
+    ):
+        path = tmp_path / "case.db"
+        ledger = Ledger(path)
+        for fingerprint, ruling in scene_rulings:
+            ledger.record_ruling(fingerprint, ruling)
+        ledger.commit()
+        assert (tmp_path / "case.db-wal").exists()  # open: rows in the WAL
+        expected = ledger.counts()
+        ledger.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.db"]
+        copy = tmp_path / "copy" / "case.db"
+        copy.parent.mkdir()
+        shutil.copyfile(path, copy)
+        with Ledger(copy) as reopened:
+            assert reopened.counts() == expected
+            for fingerprint, ruling in scene_rulings:
+                assert ruling_to_json(
+                    reopened.ruling_for(fingerprint)
+                ) == ruling_to_json(ruling)
