@@ -49,8 +49,8 @@ def _attach_details(ledger: Ledger, rows: list) -> list[RulingRow]:
             c["authority_key"]
             for c in db.execute(
                 "SELECT authority_key FROM ruling_citations "
-                "WHERE ruling_id = ? ORDER BY authority_key",
-                (row["id"],),
+                "WHERE ruling_text_id = ? ORDER BY authority_key",
+                (row["ruling_text_id"],),
             )
         )
         outcomes = tuple(
@@ -100,8 +100,8 @@ def rulings_citing(
     params: list[object] = []
     if authority_key is not None:
         clauses.append(
-            "r.id IN (SELECT ruling_id FROM ruling_citations "
-            "WHERE authority_key = ?)"
+            "r.ruling_text_id IN (SELECT ruling_text_id "
+            "FROM ruling_citations WHERE authority_key = ?)"
         )
         params.append(authority_key)
     if required_process is not None:
@@ -123,7 +123,7 @@ def rulings_citing(
             "FROM suppression_outcomes WHERE outcome != 'admissible')"
         )
     sql = (
-        "SELECT r.id, r.fingerprint_digest, r.required_process, "
+        "SELECT r.ruling_text_id, r.fingerprint_digest, r.required_process, "
         "r.needs_process FROM rulings r"
     )
     if clauses:
@@ -147,21 +147,19 @@ def search_reasoning(
     by fingerprint digest, so both paths agree on membership ordering.
     """
     if ledger.fts_enabled:
-        sql = (
-            "SELECT r.id, r.fingerprint_digest, r.required_process, "
-            "r.needs_process FROM rulings r "
-            "WHERE r.id IN (SELECT rowid FROM ruling_fts WHERE ruling_fts "
-            "MATCH ?) ORDER BY r.fingerprint_digest"
-        )
+        texts = "SELECT rowid FROM ruling_fts WHERE ruling_fts MATCH ?"
         params: list[object] = [query]
     else:
-        sql = (
-            "SELECT r.id, r.fingerprint_digest, r.required_process, "
-            "r.needs_process FROM rulings r "
-            "WHERE instr(lower(r.reasoning_text), lower(?)) > 0 "
-            "ORDER BY r.fingerprint_digest"
+        texts = (
+            "SELECT id FROM ruling_texts "
+            "WHERE instr(lower(reasoning_text), lower(?)) > 0"
         )
         params = [query.strip('"')]
+    sql = (
+        "SELECT r.ruling_text_id, r.fingerprint_digest, r.required_process, "
+        f"r.needs_process FROM rulings r WHERE r.ruling_text_id IN ({texts}) "
+        "ORDER BY r.fingerprint_digest"
+    )
     if limit is not None:
         sql += " LIMIT ?"
         params.append(int(limit))
@@ -183,10 +181,11 @@ def process_histogram(ledger: Ledger) -> dict[str, int]:
 def citation_histogram(
     ledger: Ledger, limit: int | None = None
 ) -> dict[str, int]:
-    """How many persisted rulings cite each authority."""
+    """How many persisted rulings (fingerprint rows) cite each authority."""
     sql = (
-        "SELECT authority_key, COUNT(*) AS n FROM ruling_citations "
-        "GROUP BY authority_key ORDER BY n DESC, authority_key"
+        "SELECT c.authority_key, COUNT(*) AS n FROM ruling_citations c "
+        "JOIN rulings r ON r.ruling_text_id = c.ruling_text_id "
+        "GROUP BY c.authority_key ORDER BY n DESC, c.authority_key"
     )
     if limit is not None:
         sql += f" LIMIT {int(limit)}"

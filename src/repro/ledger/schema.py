@@ -6,14 +6,17 @@ ordinary secondary indexes — so the schema is a drop-in for Postgres:
 nothing below uses a SQLite-only type, ``AUTOINCREMENT``, partial
 indexes, or expression defaults.  The single deliberate exception is the
 FTS5 full-text index over ruling reasoning traces, which is isolated in
-its own migration and consulted only behind
+its own migration steps and consulted only behind
 :data:`~repro.ledger.store.Ledger.fts_enabled` (a Postgres port swaps it
 for a ``tsvector`` column and a GIN index; see ``docs/ledger.md``).
 
 Migrations are append-only: each entry in :data:`MIGRATIONS` carries the
 ``PRAGMA user_version`` it upgrades the database *to* and the statements
-that get it there.  :func:`schema_digest` hashes the full DDL text so
-golden fixtures can fail loudly when the schema drifts.
+that get it there.  One version may take several entries (version 3's
+core tables and its FTS5 rebuild are two), and the runner commits all
+of a version's entries in one transaction.  :func:`schema_digest`
+hashes the full DDL text so golden fixtures can fail loudly when the
+schema drifts.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import hashlib
 
 #: The schema version a fully migrated database reports via
 #: ``PRAGMA user_version``.
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 #: Version 1: the relational core.  Rulings are stored twice over — a
 #: canonical JSON document for byte-exact reload, plus the indexed
@@ -140,13 +143,116 @@ _V2_STATEMENTS: tuple[str, ...] = (
     """,
 )
 
+#: Version 3: each distinct ruling is stored once.  Rulings are a pure
+#: function of a few rule outputs, so thousands of fingerprints share a
+#: few thousand rulings; ``ruling_texts`` holds each canonical text (and
+#: its reasoning trace) once, deduplicated by the text itself, and a
+#: ``rulings`` row keeps only its per-fingerprint columns plus a
+#: reference to its text.  Citations move onto the text too.  The
+#: migration copies the distinct texts out in first-recorded order, then
+#: rebuilds ``rulings`` and ``ruling_citations`` around them, keeping
+#: every ruling id; the child table goes first so no step orphans a
+#: foreign key.
+_V3_STATEMENTS: tuple[str, ...] = (
+    """
+    CREATE TABLE ruling_texts (
+        id INTEGER PRIMARY KEY,
+        ruling_json TEXT NOT NULL UNIQUE,
+        reasoning_text TEXT NOT NULL
+    )
+    """,
+    """
+    INSERT INTO ruling_texts (ruling_json, reasoning_text)
+        SELECT ruling_json, reasoning_text FROM rulings
+        WHERE id IN (SELECT MIN(id) FROM rulings GROUP BY ruling_json)
+        ORDER BY id
+    """,
+    """
+    CREATE TABLE rulings_v3 (
+        id INTEGER PRIMARY KEY,
+        fingerprint_digest TEXT NOT NULL UNIQUE,
+        fingerprint_json TEXT NOT NULL,
+        required_process TEXT NOT NULL,
+        needs_process INTEGER NOT NULL,
+        ruling_text_id INTEGER NOT NULL REFERENCES ruling_texts (id)
+    )
+    """,
+    """
+    INSERT INTO rulings_v3 (
+        id, fingerprint_digest, fingerprint_json, required_process,
+        needs_process, ruling_text_id
+    )
+        SELECT r.id, r.fingerprint_digest, r.fingerprint_json,
+               r.required_process, r.needs_process, t.id
+        FROM rulings r JOIN ruling_texts t ON t.ruling_json = r.ruling_json
+    """,
+    """
+    CREATE TABLE ruling_citations_v3 (
+        ruling_text_id INTEGER NOT NULL REFERENCES ruling_texts (id),
+        authority_key TEXT NOT NULL,
+        PRIMARY KEY (ruling_text_id, authority_key)
+    )
+    """,
+    """
+    INSERT INTO ruling_citations_v3 (ruling_text_id, authority_key)
+        SELECT DISTINCT r.ruling_text_id, c.authority_key
+        FROM ruling_citations c JOIN rulings_v3 r ON r.id = c.ruling_id
+    """,
+    """
+    DROP TABLE ruling_citations
+    """,
+    """
+    DROP TABLE rulings
+    """,
+    """
+    ALTER TABLE rulings_v3 RENAME TO rulings
+    """,
+    """
+    ALTER TABLE ruling_citations_v3 RENAME TO ruling_citations
+    """,
+    """
+    CREATE INDEX idx_rulings_required_process
+        ON rulings (required_process)
+    """,
+    """
+    CREATE INDEX idx_rulings_text ON rulings (ruling_text_id)
+    """,
+    """
+    CREATE INDEX idx_citations_authority
+        ON ruling_citations (authority_key)
+    """,
+)
+
+#: Version 3's FTS5 step: the index now covers each distinct reasoning
+#: trace once, with ``ruling_texts`` as its external content (the
+#: column is named after the content column, so FTS5 can read it back).
+#: ``IF EXISTS``: a file first migrated without FTS5 has no old index.
+_V3_FTS_STATEMENTS: tuple[str, ...] = (
+    """
+    DROP TABLE IF EXISTS ruling_fts
+    """,
+    """
+    CREATE VIRTUAL TABLE ruling_fts USING fts5(
+        reasoning_text,
+        content='ruling_texts',
+        content_rowid='id'
+    )
+    """,
+    """
+    INSERT INTO ruling_fts (rowid, reasoning_text)
+        SELECT id, reasoning_text FROM ruling_texts
+    """,
+)
+
 #: ``(target user_version, statements, requires_fts)`` triples, in
 #: ascending version order.  The runner in :mod:`repro.ledger.store`
-#: applies each pending entry inside one transaction and stamps
-#: ``PRAGMA user_version`` with the target.
+#: applies all pending entries of one version inside one transaction
+#: and stamps ``PRAGMA user_version`` with the target before committing.
 MIGRATIONS: tuple[tuple[int, tuple[str, ...], bool], ...] = (
     (1, _V1_STATEMENTS, False),
     (2, _V2_STATEMENTS, True),
+    (3, _V3_STATEMENTS, False),
+    (3, _V3_FTS_STATEMENTS, True),
 )
 
 

@@ -13,10 +13,12 @@ Design notes:
   (fingerprint digest, docket key, instrument key, item key, evidence
   key); re-recording the same fact is a cheap no-op, so pipelines can
   persist at every boundary without bookkeeping.
-* **Canonical documents + indexed columns.**  Rulings are stored as
-  canonical JSON (:mod:`repro.ledger.serialize`) for byte-exact reload,
-  alongside the columns queries filter on.  Equal rulings always write
-  identical bytes.
+* **Each distinct ruling stored once.**  A ruling's canonical JSON
+  (:mod:`repro.ledger.serialize`) and reasoning trace live in one
+  ``ruling_texts`` row, deduplicated by the text itself; a ``rulings``
+  row holds one fingerprint, the columns queries filter on, and a
+  reference to its text.  Equal rulings always write identical bytes,
+  so many fingerprints share one text row.
 * **Portability.**  The schema (:mod:`repro.ledger.schema`) sticks to
   the SQL core; the one SQLite-only structure (FTS5) is feature-gated
   and degrades to an ``instr`` scan when the module is absent.
@@ -25,10 +27,12 @@ Design notes:
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import sqlite3
 from collections.abc import Iterator
 from pathlib import Path
 
+from repro.core import engine
 from repro.core.fingerprint import ActionFingerprint, fingerprint_digest
 from repro.core.ruling import Ruling
 from repro.court.docket import Docket, IssuedProcess
@@ -145,10 +149,15 @@ class Ledger:
         self._connection.row_factory = sqlite3.Row
         self._connection.execute("PRAGMA foreign_keys = ON")
         self.stats = LedgerStats()
+        # ruling_texts id per canonical text recorded through this handle.
+        # Capped like the engine's intern table; cleared on rollback().
+        self._text_ids: dict[str, int] = {}
+        # Cursors of iter_rulings streams not yet read to the end.
+        self._streams: set[sqlite3.Cursor] = set()
         self.fts_enabled = _fts_available(self._connection)
         try:
             self._migrate()
-        except LedgerError:
+        except BaseException:
             self.close()
             raise
         # Only a file the migration accepted is switched to WAL, so a
@@ -170,9 +179,15 @@ class Ledger:
 
         Closing the file's last connection checkpoints the WAL into the
         database file and removes the ``-wal`` and ``-shm`` side files,
-        so a closed ledger is one self-contained file again.
+        so a closed ledger is one self-contained file again.  A
+        half-read :meth:`iter_rulings` stream's cursors are closed first:
+        SQLite defers the real close, checkpoint included, until every
+        statement is finalized.
         """
         if self._connection is not None:
+            for cursor in self._streams:
+                cursor.close()
+            self._streams.clear()
             self._connection.commit()
             self._connection.close()
             self._connection = None
@@ -199,20 +214,26 @@ class Ledger:
                 f"ledger {self.path!r} is at schema version {current}, "
                 f"newer than this build's {target}; refusing to open"
             )
-        for version, statements, requires_fts in schema.MIGRATIONS:
-            if version <= current:
-                continue
-            if requires_fts and not self.fts_enabled:
-                # The FTS migration is optional capability, not core
-                # schema: stamp the version so the runner stays linear,
-                # and let search fall back to the portable scan.
-                self._db.execute(f"PRAGMA user_version = {version}")
-                self._db.commit()
-                continue
-            for statement in statements:
-                self._db.execute(statement)
-            self._db.execute(f"PRAGMA user_version = {version}")
-            self._db.commit()
+        db = self._db
+        pending = [m for m in schema.MIGRATIONS if m[0] > current]
+        for version, steps in itertools.groupby(pending, key=lambda m: m[0]):
+            # One transaction per version: a crash mid-migration leaves
+            # the file at the previous version, never half rebuilt.
+            db.execute("BEGIN")
+            try:
+                for __, statements, requires_fts in steps:
+                    if requires_fts and not self.fts_enabled:
+                        # FTS is optional capability, not core schema:
+                        # the version is stamped all the same, and search
+                        # falls back to the portable scan.
+                        continue
+                    for statement in statements:
+                        db.execute(statement)
+                db.execute(f"PRAGMA user_version = {version}")
+            except BaseException:
+                db.rollback()
+                raise
+            db.commit()
 
     # -- rulings -----------------------------------------------------------------
 
@@ -227,42 +248,67 @@ class Ledger:
             deterministic per fingerprint, so the stored bytes are
             already correct and the write is skipped).
         """
-        digest = fingerprint_digest(fingerprint)
-        reasoning = reasoning_text(ruling)
-        db = self._db
-        cursor = db.execute(
+        text = ruling_to_json(ruling)
+        text_id = self._text_ids.get(text)
+        if text_id is None:
+            text_id = self._record_text(text, ruling)
+        cursor = self._db.execute(
             """
             INSERT INTO rulings (
                 fingerprint_digest, fingerprint_json, required_process,
-                needs_process, ruling_json, reasoning_text
-            ) VALUES (?, ?, ?, ?, ?, ?)
+                needs_process, ruling_text_id
+            ) VALUES (?, ?, ?, ?, ?)
             ON CONFLICT (fingerprint_digest) DO NOTHING
             """,
             (
-                digest,
+                fingerprint_digest(fingerprint),
                 fingerprint_to_json(fingerprint),
                 ruling.required_process.name,
                 int(ruling.needs_process),
-                ruling_to_json(ruling),
-                reasoning,
+                text_id,
             ),
         )
         if cursor.rowcount == 0:
             self.stats.ruling_duplicates += 1
             return False
-        ruling_id = cursor.lastrowid
-        db.executemany(
-            "INSERT INTO ruling_citations (ruling_id, authority_key) "
-            "VALUES (?, ?)",
-            [(ruling_id, key) for key in citation_keys(ruling)],
-        )
-        if self.fts_enabled:
-            db.execute(
-                "INSERT INTO ruling_fts (rowid, reasoning) VALUES (?, ?)",
-                (ruling_id, reasoning),
-            )
         self.stats.ruling_writes += 1
         return True
+
+    def _record_text(self, text: str, ruling: Ruling) -> int:
+        """The ``ruling_texts`` id of ``text``, inserted if new.
+
+        A new text row gets its citation rows and FTS document with it.
+        The text itself is the dedupe key, so a tampered row (whose bytes
+        no longer match any fresh ruling's) is never reused.
+        """
+        db = self._db
+        reasoning = reasoning_text(ruling)
+        cursor = db.execute(
+            "INSERT INTO ruling_texts (ruling_json, reasoning_text) "
+            "VALUES (?, ?) ON CONFLICT (ruling_json) DO NOTHING",
+            (text, reasoning),
+        )
+        if cursor.rowcount:
+            text_id = cursor.lastrowid
+            db.executemany(
+                "INSERT INTO ruling_citations (ruling_text_id, authority_key) "
+                "VALUES (?, ?)",
+                [(text_id, key) for key in citation_keys(ruling)],
+            )
+            if self.fts_enabled:
+                db.execute(
+                    "INSERT INTO ruling_fts (rowid, reasoning_text) "
+                    "VALUES (?, ?)",
+                    (text_id, reasoning),
+                )
+        else:
+            text_id = db.execute(
+                "SELECT id FROM ruling_texts WHERE ruling_json = ?", (text,)
+            ).fetchone()[0]
+        if len(self._text_ids) >= engine.RULING_INTERN_MAX:
+            self._text_ids.clear()
+        self._text_ids[text] = text_id
+        return text_id
 
     def ruling_for(
         self, fingerprint: ActionFingerprint
@@ -273,7 +319,9 @@ class Ledger:
     def ruling_for_digest(self, digest: str) -> Ruling | None:
         """Reload a ruling by its fingerprint digest, or ``None``."""
         row = self._db.execute(
-            "SELECT ruling_json FROM rulings WHERE fingerprint_digest = ?",
+            "SELECT t.ruling_json FROM rulings r "
+            "JOIN ruling_texts t ON t.id = r.ruling_text_id "
+            "WHERE r.fingerprint_digest = ?",
             (digest,),
         ).fetchone()
         if row is None:
@@ -289,25 +337,36 @@ class Ledger:
         Ordered by fingerprint digest, so iteration order is a pure
         function of ledger *content* — two ledgers holding the same
         rulings stream identically no matter what order the rows
-        arrived in.  Rows with identical ``ruling_json`` text share one
-        decoded ruling for the length of one iteration: many
-        fingerprints hold the same ruling, so each distinct text is
-        decoded and held once.
+        arrived in.  Many fingerprints share one ruling text, so each
+        text is read and decoded only the first time its id appears, and
+        its rows share that one decoded ruling.
         """
         sql = (
-            "SELECT fingerprint_json, ruling_json FROM rulings "
+            "SELECT fingerprint_json, ruling_text_id FROM rulings "
             "ORDER BY fingerprint_digest"
         )
         if limit is not None:
             sql += f" LIMIT {int(limit)}"
-        decoded: dict[str, Ruling] = {}
-        for row in self._db.execute(sql):
-            self.stats.primed_rulings += 1
-            text = row["ruling_json"]
-            ruling = decoded.get(text)
-            if ruling is None:
-                ruling = decoded[text] = ruling_from_json(text)
-            yield fingerprint_from_json(row["fingerprint_json"]), ruling
+        db = self._db
+        rows = db.execute(sql)
+        texts = db.cursor()
+        self._streams.update((rows, texts))
+        try:
+            decoded: dict[int, Ruling] = {}
+            for fingerprint_json, text_id in rows:
+                self.stats.primed_rulings += 1
+                ruling = decoded.get(text_id)
+                if ruling is None:
+                    texts.execute(
+                        "SELECT ruling_json FROM ruling_texts WHERE id = ?",
+                        (text_id,),
+                    )
+                    ruling = decoded[text_id] = ruling_from_json(
+                        texts.fetchone()[0]
+                    )
+                yield fingerprint_from_json(fingerprint_json), ruling
+        finally:
+            self._streams.difference_update((rows, texts))
 
     # -- dockets and instruments -------------------------------------------------
 
@@ -528,7 +587,12 @@ class Ledger:
         self._db.commit()
 
     def rollback(self) -> None:
-        """Discard pending writes."""
+        """Discard pending writes.
+
+        The text-id memo is dropped first: it may name text rows the
+        rollback removes, whose ids SQLite can then hand to other texts.
+        """
+        self._text_ids.clear()
         self._db.rollback()
 
     def counts(self) -> dict[str, int]:
@@ -538,6 +602,7 @@ class Ledger:
             table: db.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
             for table in (
                 "rulings",
+                "ruling_texts",
                 "ruling_citations",
                 "dockets",
                 "instruments",

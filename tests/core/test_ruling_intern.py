@@ -131,7 +131,8 @@ def test_a_tampered_primed_row_never_reaches_a_fresh_engine(
     connection = sqlite3.connect(path)
     with connection:
         connection.execute(
-            "UPDATE rulings SET ruling_json = ?", (canonical_json(payload),)
+            "UPDATE ruling_texts SET ruling_json = ?",
+            (canonical_json(payload),),
         )
     connection.close()
     engine_module._RULINGS.clear()

@@ -58,13 +58,14 @@ def test_non_ascii_and_floats_render_verbatim():
 
 
 _ROWS = """
-    SELECT fingerprint_digest, fingerprint_json, required_process,
-           needs_process, ruling_json, reasoning_text
-    FROM rulings ORDER BY id
+    SELECT r.fingerprint_digest, r.fingerprint_json, r.required_process,
+           r.needs_process, t.ruling_json, t.reasoning_text
+    FROM rulings r JOIN ruling_texts t ON t.id = r.ruling_text_id
+    ORDER BY r.id
 """
 _CITATIONS = """
-    SELECT r.fingerprint_digest, c.authority_key
-    FROM ruling_citations c JOIN rulings r ON r.id = c.ruling_id
+    SELECT t.ruling_json, c.authority_key
+    FROM ruling_citations c JOIN ruling_texts t ON t.id = c.ruling_text_id
     ORDER BY c.rowid
 """
 

@@ -365,3 +365,25 @@ class TestJournal:
                 assert ruling_to_json(
                     reopened.ruling_for(fingerprint)
                 ) == ruling_to_json(ruling)
+
+    def test_close_with_a_half_read_stream_leaves_one_file(
+        self, tmp_path, scene_rulings
+    ):
+        path = tmp_path / "case.db"
+        ledger = Ledger(path)
+        for fingerprint, ruling in scene_rulings:
+            ledger.record_ruling(fingerprint, ruling)
+        ledger.commit()
+        expected = ledger.counts()
+        stream = ledger.iter_rulings()
+        next(stream)  # one row pulled, the stream's statement still open
+        ledger.close()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.db"]
+        copy = tmp_path / "copy" / "case.db"
+        copy.parent.mkdir()
+        shutil.copyfile(path, copy)
+        with Ledger(copy) as reopened:
+            assert reopened.counts() == expected
+            assert len(list(reopened.iter_rulings())) == expected["rulings"]
+        with pytest.raises(sqlite3.ProgrammingError):
+            next(stream)  # the closed stream fails loudly, not silently

@@ -264,14 +264,15 @@ class TestLedgerCli:
         tampered = 0
         with connection:
             rows = connection.execute(
-                "SELECT id, ruling_json FROM rulings"
+                "SELECT id, ruling_json FROM ruling_texts"
             ).fetchall()
             for row_id, text in rows:
                 payload = json.loads(text)
                 if payload["privacy"]["steps"]:
                     payload["privacy"]["steps"].pop()
                     connection.execute(
-                        "UPDATE rulings SET ruling_json = ? WHERE id = ?",
+                        "UPDATE ruling_texts SET ruling_json = ? "
+                        "WHERE id = ?",
                         (canonical_json(payload), row_id),
                     )
                     tampered += 1
@@ -282,6 +283,84 @@ class TestLedgerCli:
             == 1
         )
         assert "LEDGER DIVERGENCE" in capsys.readouterr().out
+
+    def test_a_tampered_text_row_is_never_reused(self, tmp_path):
+        """The text is the dedupe key: once a stored text's bytes are
+        edited, a fresh ruling with the original text gets its own row."""
+        import json
+        import sqlite3
+
+        from repro.cli import main
+        from repro.core.fingerprint import fingerprint_digest
+        from repro.ledger.serialize import canonical_json, ruling_to_json
+
+        path = tmp_path / "case.db"
+        verify = action_corpus(300, seed=5)
+        verify_fps = {action_fingerprint(a) for a in verify}
+        fresh = ComplianceEngine()
+        verify_texts = {
+            fingerprint_digest(action_fingerprint(a)): ruling_to_json(
+                fresh.evaluate(a)
+            )
+            for a in verify
+        }
+        # The ledger first holds fingerprints the verify corpus never
+        # asks about; some of their texts are verify rulings' texts too.
+        with Ledger(path) as ledger:
+            ComplianceEngine(ledger=ledger).evaluate_many(
+                [
+                    a
+                    for a in action_corpus(2000, seed=6)
+                    if action_fingerprint(a) not in verify_fps
+                ]
+            )
+        connection = sqlite3.connect(path)
+        with connection:
+            text_id, honest = next(
+                (text_id, text)
+                for text_id, text in connection.execute(
+                    "SELECT id, ruling_json FROM ruling_texts ORDER BY id"
+                )
+                if text in set(verify_texts.values())
+            )
+            payload = json.loads(honest)
+            payload["required_process"] = (
+                "SEARCH_WARRANT"
+                if payload["required_process"] != "SEARCH_WARRANT"
+                else "NONE"
+            )
+            connection.execute(
+                "UPDATE ruling_texts SET ruling_json = ? WHERE id = ?",
+                (canonical_json(payload), text_id),
+            )
+        connection.close()
+
+        with Ledger(path) as ledger:
+            ComplianceEngine(ledger=ledger).evaluate_many(verify)
+        connection = sqlite3.connect(path)
+        try:
+            stored = dict(
+                connection.execute(
+                    "SELECT r.fingerprint_digest, t.ruling_json FROM rulings r "
+                    "JOIN ruling_texts t ON t.id = r.ruling_text_id"
+                )
+            )
+            honest_ids = connection.execute(
+                "SELECT id FROM ruling_texts WHERE ruling_json = ?", (honest,)
+            ).fetchall()
+        finally:
+            connection.close()
+        assert {d: stored[d] for d in verify_texts} == verify_texts
+        assert len(honest_ids) == 1 and honest_ids[0][0] != text_id
+        assert (
+            main(
+                [
+                    "ledger", "prime", str(path), "--verify",
+                    "--corpus", "300", "--seed", "5",
+                ]
+            )
+            == 0
+        )
 
     def test_query_missing_ledger_is_an_error(self, tmp_path, capsys):
         from repro.cli import main

@@ -9,8 +9,12 @@ import pytest
 
 from repro.core.cache import RulingCache
 from repro.core.engine import RULING_INTERN_MAX, ComplianceEngine
-from repro.core.fingerprint import action_fingerprint
-from repro.ledger.serialize import canonical_json, ruling_to_dict
+from repro.core.fingerprint import action_fingerprint, fingerprint_digest
+from repro.ledger.serialize import (
+    canonical_json,
+    ruling_to_dict,
+    ruling_to_json,
+)
 from repro.ledger.store import Ledger
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
@@ -314,24 +318,29 @@ def _ledger_rows(path) -> int:
         return ledger.counts()["rulings"]
 
 
+#: A commit fault (rows pending) and a shard fault after its rulings
+#: were recorded.
+_BATCH_FAULTS = pytest.mark.parametrize(
+    "owner, name, exc, after_real_call",
+    [
+        (
+            Ledger,
+            "commit",
+            sqlite3.OperationalError("database is locked"),
+            False,
+        ),
+        (Shard, "evaluate_many", RuntimeError("shard fault"), True),
+    ],
+    ids=["ledger-commit", "shard-evaluate"],
+)
+
+
 class TestBatchFailure:
     """The contract: the request fails, the server carries on, and
     nothing partial is persisted."""
 
     @pytest.mark.parametrize("n_shards", [1, 4])
-    @pytest.mark.parametrize(
-        "owner, name, exc, after_real_call",
-        [
-            (
-                Ledger,
-                "commit",
-                sqlite3.OperationalError("database is locked"),
-                False,
-            ),
-            (Shard, "evaluate_many", RuntimeError("shard fault"), True),
-        ],
-        ids=["ledger-commit", "shard-evaluate"],
-    )
+    @_BATCH_FAULTS
     def test_failed_batch_answers_an_error_and_the_shard_carries_on(
         self, monkeypatch, tmp_path, owner, name, exc, after_real_call, n_shards
     ):
@@ -387,6 +396,55 @@ class TestBatchFailure:
         assert _ledger_rows(path) == len(
             _fingerprints(failing) | _fingerprints(following)
         )
+
+    @_BATCH_FAULTS
+    def test_a_failed_request_never_leaves_a_stale_text_id(
+        self, monkeypatch, tmp_path, owner, name, exc, after_real_call
+    ):
+        """The failed request inserted new ruling_texts rows that the
+        rollback removed.  The next request needing those rulings must
+        insert them again, not point at ids the rollback freed."""
+        path = str(tmp_path / "serve.sqlite")
+        failing = action_corpus(60, seed=41)
+        seen = _fingerprints(failing)
+        following = [
+            a
+            for a in action_corpus(400, seed=42)
+            if action_fingerprint(a) not in seen
+        ]
+        engine = ComplianceEngine()
+        expected = {
+            fingerprint_digest(action_fingerprint(a)): ruling_to_json(
+                engine.evaluate(a)
+            )
+            for a in following
+        }
+        failed_texts = {ruling_to_json(engine.evaluate(a)) for a in failing}
+        assert failed_texts & set(expected.values())
+        config = _config(n_shards=1, ledger_path=path)
+        with ServerThread(config) as thread:
+            _fail_first_call(monkeypatch, owner, name, exc, after_real_call)
+            host, port = thread.address
+            with ServeClient(host, port) as client:
+                assert client.rule(failing, request_id=1)["ok"] is False
+                assert client.rule(following, request_id=2)["ok"] is True
+        connection = sqlite3.connect(path)
+        try:
+            stored = dict(
+                connection.execute(
+                    "SELECT r.fingerprint_digest, t.ruling_json FROM rulings r "
+                    "JOIN ruling_texts t ON t.id = r.ruling_text_id"
+                )
+            )
+            (texts,) = connection.execute(
+                "SELECT COUNT(*) FROM ruling_texts"
+            ).fetchone()
+            check = connection.execute("PRAGMA foreign_key_check").fetchall()
+        finally:
+            connection.close()
+        assert check == []
+        assert stored == expected
+        assert texts == len(set(expected.values()))
 
 
 class TestLedgerIntegration:
