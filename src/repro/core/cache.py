@@ -132,7 +132,9 @@ class RulingCache:
         Args:
             items: The things to resolve (the engine passes actions).
             fingerprint_of: Maps an item to its cache key.
-            compute: Maps an item to its value on a miss; must be pure.
+            compute: Maps an item and its key to its value on a miss;
+                must be pure.  It gets the key so a miss never
+                fingerprints the item again.
 
         Returns:
             The values, in item order — identical objects to what the
@@ -152,7 +154,7 @@ class RulingCache:
             value = entry_getter(fingerprint)
             if value is None:
                 misses += 1
-                value = compute(item)
+                value = compute(item, fingerprint)
                 if len(entries) >= maxsize:
                     evict(last=False)
                     evictions += 1

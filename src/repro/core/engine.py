@@ -15,10 +15,18 @@ Given one :class:`~repro.core.action.InvestigativeAction`, the engine runs:
 The output :class:`~repro.core.ruling.Ruling` answers the Table 1 question
 ("does this scene need a warrant/court order/subpoena?") and carries a full
 citation-bearing reasoning trace.
+
+A cached engine's cache misses run the same stages through memos: each
+stage is looked up by the fingerprint fields its module declares
+(:class:`~repro.core.fingerprint.RuleRow`), and the combined ruling by
+the seven stage outputs' serial numbers.  An uncached engine always runs
+the stages themselves, which is what the cached-vs-fresh differential
+compares the memos against.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Callable, Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
@@ -26,8 +34,10 @@ from repro.core.action import InvestigativeAction
 from repro.core.cache import CacheStats, RulingCache
 from repro.core.caselaw import AuthorityRegistry, build_default_registry
 from repro.core.enums import LegalSource, ProcessKind
+from repro.core import exceptions as exception_rules
+from repro.core import privacy as privacy_rules
 from repro.core.exceptions import gather_exceptions
-from repro.core.fingerprint import action_fingerprint
+from repro.core.fingerprint import RuleRow, action_fingerprint, fact_getter
 from repro.core.privacy import analyze_privacy
 from repro.core.ruling import (
     AppliedException,
@@ -59,6 +69,171 @@ _RULINGS: dict[tuple, Ruling] = {}
 def interned_rulings() -> int:
     """How many distinct rulings the intern table currently holds."""
     return len(_RULINGS)
+
+
+def _bounded_put(table: dict, key: object, value: object) -> None:
+    """Insert into an intern or memo table, clearing it first when full."""
+    if len(table) >= RULING_INTERN_MAX:
+        table.clear()
+    table[key] = value
+
+
+#: Serial numbers for distinct stage outputs, never reused: a serial
+#: names one output value for the life of the process, so a tuple of
+#: serials names one combination of outputs even after tables clear.
+_SERIALS = itertools.count()
+
+#: A guard-table value meaning "the stage applies: look in the entries".
+_APPLIES = object()
+
+
+class RuleMemo:
+    """One rule stage memoized on the fingerprint fields it declares.
+
+    Each entry is ``(output, serial)``, one shared entry per distinct
+    output value, whose serial is assigned when the value is first seen.
+    A stage with a guard is keyed on the guard's
+    fields first: where the guard fails, that short key holds the entry;
+    where it holds, the key holds a marker and the entry sits under the
+    stage's full row (plus the upstream stage's serial, for a stage that
+    takes one).  Every table is capped at :data:`RULING_INTERN_MAX` and
+    cleared wholesale when full.  Threads racing on one key at worst
+    compute the stage twice or give equal outputs two serials; no serial
+    ever names two different outputs.
+
+    Args:
+        row: The stage's declared facts.
+        stage: ``(engine, action, upstream output) -> output``; the output
+            must be hashable.
+    """
+
+    __slots__ = ("row", "_stage", "_guard_key", "_key", "_guards",
+                 "_entries", "_outputs")
+
+    def __init__(
+        self,
+        row: RuleRow,
+        stage: Callable[["ComplianceEngine", InvestigativeAction, object],
+                        object],
+    ) -> None:
+        self.row = row
+        self._stage = stage
+        self._guard_key = fact_getter(row.guard) if row.guard else None
+        self._key = fact_getter(row.fields)
+        self._guards: dict = {}
+        self._entries: dict = {}
+        self._outputs: dict = {}
+
+    def __len__(self) -> int:
+        """Keys held: guard keys plus full-row keys."""
+        return len(self._guards) + len(self._entries)
+
+    def get(
+        self, fingerprint: tuple, upstream: tuple | None = None
+    ) -> tuple | None:
+        """The ``(output, serial)`` entry for a fingerprint, or ``None``."""
+        if self._guard_key is not None:
+            entry = self._guards.get(self._guard_key(fingerprint))
+            if entry is not _APPLIES:
+                return entry
+        key = self._key(fingerprint)
+        if upstream is not None:
+            key = (key, upstream[1])
+        return self._entries.get(key)
+
+    def fill(
+        self,
+        fingerprint: tuple,
+        engine: "ComplianceEngine",
+        action: InvestigativeAction,
+        upstream: tuple | None = None,
+    ) -> tuple:
+        """Run the stage for a missed key and store its entry."""
+        applies = self.row.applies
+        output = self._stage(
+            engine, action, None if upstream is None else upstream[0]
+        )
+        entry = self._outputs.get(output)
+        if entry is None:
+            entry = (output, next(_SERIALS))
+            _bounded_put(self._outputs, output, entry)
+        if applies is not None and not applies(action):
+            _bounded_put(self._guards, self._guard_key(fingerprint), entry)
+            return entry
+        if self._guard_key is not None:
+            _bounded_put(self._guards, self._guard_key(fingerprint), _APPLIES)
+        key = self._key(fingerprint)
+        if upstream is not None:
+            key = (key, upstream[1])
+        _bounded_put(self._entries, key, entry)
+        return entry
+
+    def clear(self) -> None:
+        """Drop every key (serials already handed out stay retired)."""
+        self._guards.clear()
+        self._entries.clear()
+        self._outputs.clear()
+
+
+#: The statute-internal exceptions the engine records for the trace
+#: (:meth:`ComplianceEngine._statutory_exceptions`): each statute's
+#: exception facts, read once that statute applies.
+STATUTORY_EXCEPTION_FACTS = RuleRow(
+    "statutory_exceptions",
+    guard=tuple(dict.fromkeys(wiretap.FACTS.guard + pentrap.FACTS.guard)),
+    reads=tuple(
+        dict.fromkeys(wiretap.EXCEPTION_READS + pentrap.EXCEPTION_READS)
+    ),
+    applies=lambda action: wiretap.applies(action) or pentrap.applies(action),
+)
+
+# The stage memos, shared by every cached engine like the intern table.
+# Each stage is looked up by name when it runs, so a wrapped stage (a
+# tracer, a test double) is what a memo miss calls.
+_PRIVACY = RuleMemo(
+    privacy_rules.FACTS, lambda engine, action, _: analyze_privacy(action)
+)
+_FOURTH_AMENDMENT = RuleMemo(
+    fourth_amendment.FACTS,
+    lambda engine, action, privacy: fourth_amendment.evaluate(action, privacy),
+)
+_WIRETAP = RuleMemo(
+    wiretap.FACTS, lambda engine, action, _: wiretap.evaluate(action)
+)
+_SCA = RuleMemo(sca.FACTS, lambda engine, action, _: sca.evaluate(action))
+_PENTRAP = RuleMemo(
+    pentrap.FACTS, lambda engine, action, _: pentrap.evaluate(action)
+)
+_EXCEPTIONS = RuleMemo(
+    exception_rules.FACTS,
+    lambda engine, action, _: tuple(gather_exceptions(action)),
+)
+_STATUTORY_EXCEPTIONS = RuleMemo(
+    STATUTORY_EXCEPTION_FACTS,
+    lambda engine, action, _: tuple(engine._statutory_exceptions(action)),
+)
+
+#: Every stage memo, in pipeline order.
+RULE_MEMOS = (
+    _PRIVACY,
+    _FOURTH_AMENDMENT,
+    _WIRETAP,
+    _SCA,
+    _PENTRAP,
+    _EXCEPTIONS,
+    _STATUTORY_EXCEPTIONS,
+)
+
+# The combined ruling per tuple of the seven stage serials.  A miss
+# falls through to the intern table, so both paths share one ruling.
+_COMBINED: dict[tuple, Ruling] = {}
+
+
+def rule_memo_entries() -> dict[str, int]:
+    """Keys held per stage memo, plus the combination table's."""
+    sizes = {memo.row.name: len(memo) for memo in RULE_MEMOS}
+    sizes["combine"] = len(_COMBINED)
+    return sizes
 
 
 @runtime_checkable
@@ -172,16 +347,22 @@ class ComplianceEngine:
 
     def _recording_evaluator(
         self,
-    ) -> Callable[[InvestigativeAction], Ruling]:
-        """The fresh-evaluation callable, ledger recording included."""
+    ) -> Callable[[InvestigativeAction, tuple], Ruling]:
+        """The cache-miss callable, ledger recording included.
+
+        It takes the action and the fingerprint the cache already
+        computed, and rules through the stage memos.
+        """
         if self._ledger is None:
             return self._evaluate_uncached
         evaluate_uncached = self._evaluate_uncached
         record = self._record_to_ledger
 
-        def evaluate_and_record(action: InvestigativeAction) -> Ruling:
-            ruling = evaluate_uncached(action)
-            record(action_fingerprint(action), ruling)
+        def evaluate_and_record(
+            action: InvestigativeAction, fingerprint: tuple
+        ) -> Ruling:
+            ruling = evaluate_uncached(action, fingerprint)
+            record(fingerprint, ruling)
             return ruling
 
         return evaluate_and_record
@@ -225,11 +406,14 @@ class ComplianceEngine:
     def _evaluate_impl(self, action: InvestigativeAction) -> Ruling:
         """The cache-consulting single-action path, telemetry-free."""
         if self._cache is None:
-            return self._recording_evaluator()(action)
+            ruling = self._evaluate_uncached(action)
+            if self._ledger is not None:
+                self._record_to_ledger(action_fingerprint(action), ruling)
+            return ruling
         fingerprint = action_fingerprint(action)
         ruling = self._cache.get(fingerprint)
         if ruling is None:
-            ruling = self._evaluate_uncached(action)
+            ruling = self._evaluate_uncached(action, fingerprint)
             self._cache.put(fingerprint, ruling)
             if self._ledger is not None:
                 self._record_to_ledger(fingerprint, ruling)
@@ -285,8 +469,26 @@ class ComplianceEngine:
             actions, action_fingerprint, self._recording_evaluator()
         )
 
-    def _evaluate_uncached(self, action: InvestigativeAction) -> Ruling:
-        """The full rule pipeline, bypassing any cache."""
+    def _evaluate_uncached(
+        self, action: InvestigativeAction, fingerprint: tuple | None = None
+    ) -> Ruling:
+        """One fresh evaluation, bypassing the ruling cache.
+
+        A cached engine's miss path passes the fingerprint it already
+        holds and rules through the stage memos; without a fingerprint
+        the full rule pipeline runs.  Both give the identical ruling.
+        """
+        if fingerprint is None:
+            ruling = self._run_pipeline(action)
+        else:
+            ruling = self._evaluate_memoized(action, fingerprint)
+        # Engines with different registries share the tables, so every
+        # evaluation checks against this engine's registry, hit or miss.
+        self._check_citations(ruling.steps)
+        return ruling
+
+    def _run_pipeline(self, action: InvestigativeAction) -> Ruling:
+        """Every rule stage, run on the action itself."""
         privacy = analyze_privacy(action)
 
         requirements: list[Requirement] = []
@@ -301,19 +503,62 @@ class ComplianceEngine:
 
         exceptions = list(gather_exceptions(action))
         exceptions.extend(self._statutory_exceptions(action))
+        return self._intern_ruling(privacy, requirements, exceptions)
 
+    def _evaluate_memoized(
+        self, action: InvestigativeAction, fingerprint: tuple
+    ) -> Ruling:
+        """The pipeline as seven memo lookups and one combination lookup."""
+        privacy = _PRIVACY.get(fingerprint) or _PRIVACY.fill(
+            fingerprint, self, action
+        )
+        fourth = _FOURTH_AMENDMENT.get(
+            fingerprint, privacy
+        ) or _FOURTH_AMENDMENT.fill(fingerprint, self, action, privacy)
+        wire = _WIRETAP.get(fingerprint) or _WIRETAP.fill(
+            fingerprint, self, action
+        )
+        stored = _SCA.get(fingerprint) or _SCA.fill(fingerprint, self, action)
+        pen = _PENTRAP.get(fingerprint) or _PENTRAP.fill(
+            fingerprint, self, action
+        )
+        cross = _EXCEPTIONS.get(fingerprint) or _EXCEPTIONS.fill(
+            fingerprint, self, action
+        )
+        statutory = _STATUTORY_EXCEPTIONS.get(
+            fingerprint
+        ) or _STATUTORY_EXCEPTIONS.fill(fingerprint, self, action)
+        key = (
+            privacy[1], fourth[1], wire[1], stored[1], pen[1], cross[1],
+            statutory[1],
+        )
+        ruling = _COMBINED.get(key)
+        if ruling is None:
+            requirements = [
+                output
+                for output, _ in (fourth, wire, stored, pen)
+                if output is not None
+            ]
+            ruling = self._intern_ruling(
+                privacy[0], requirements, [*cross[0], *statutory[0]]
+            )
+            _bounded_put(_COMBINED, key, ruling)
+        return ruling
+
+    def _intern_ruling(
+        self,
+        privacy: PrivacyFinding,
+        requirements: list[Requirement],
+        exceptions: list[AppliedException],
+    ) -> Ruling:
+        """The one shared ruling for these rule outputs."""
         # Combination and the trace are pure functions of the rule
         # outputs, so equal outputs share one ruling.
         key = (privacy, tuple(requirements), tuple(exceptions))
         ruling = _RULINGS.get(key)
         if ruling is None:
             ruling = self._combine(privacy, requirements, exceptions)
-            if len(_RULINGS) >= RULING_INTERN_MAX:
-                _RULINGS.clear()
-            _RULINGS[key] = ruling
-        # Engines with different registries share the table, so every
-        # evaluation checks against this engine's registry, hit or miss.
-        self._check_citations(ruling.steps)
+            _bounded_put(_RULINGS, key, ruling)
         return ruling
 
     def _combine(

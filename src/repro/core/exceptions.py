@@ -12,7 +12,24 @@ from __future__ import annotations
 
 from repro.core.action import InvestigativeAction
 from repro.core.enums import ConsentScope, ExceptionKind, LegalSource
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import AppliedException, ReasoningStep
+
+#: The facts :func:`gather_exceptions` reads; the consent scope only
+#: behind an effective consent, as the fingerprint normalizes it.
+FACTS = RuleRow(
+    "exceptions",
+    reads=(
+        "consent_effective",
+        "consent_scope",
+        "consent_covers_target_data",
+        "victim_invited_monitoring",
+        "exigent_circumstances",
+        "plain_view",
+        "target_on_probation",
+        "credentials_lawfully_obtained",
+    ),
+)
 
 #: Sources a fully effective consent defeats — consent is "a powerful
 #: exception to both constitutional and statutory laws" (section III.B.c).

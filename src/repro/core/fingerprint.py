@@ -27,11 +27,22 @@ rulings — including the full reasoning trace and ``explain()`` output —
 which is what makes the fingerprint safe as a memoization key.  The
 differential test suite re-proves this over a 10,000-action corpus on
 every run.
+
+Each rule stage also declares, as a :class:`RuleRow`, which of these
+fields it reads: ``privacy.FACTS``, ``fourth_amendment.FACTS``,
+``wiretap.FACTS``, ``sca.FACTS``, ``pentrap.FACTS``, ``exceptions.FACTS``
+and the engine's ``STATUTORY_EXCEPTION_FACTS``.  Together the rows cover
+every field above, and the engine memoizes each stage on its own row
+(:class:`repro.core.engine.RuleMemo`).  ``tests/core/test_rule_memo.py``
+checks each row against what its stage actually reads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+from collections.abc import Callable
+from operator import itemgetter
 
 from repro.core.action import InvestigativeAction
 from repro.core.enums import (
@@ -80,6 +91,45 @@ _FIELD_NAMES = (
     "monitoring_own_network",
     "victim_invited_monitoring",
 )
+
+
+@dataclasses.dataclass(frozen=True)
+class RuleRow:
+    """The fingerprint fields one rule stage reads.
+
+    Attributes:
+        name: The stage, as metrics and stats label it.
+        guard: Fields the stage's applicability test reads.  Empty for a
+            stage that always runs.
+        reads: Fields the stage reads once its guard holds.
+        applies: The applicability test itself, over the action; set
+            exactly when ``guard`` is.  When it fails, the stage's output
+            may depend on the ``guard`` fields alone.
+    """
+
+    name: str
+    reads: tuple[str, ...]
+    guard: tuple[str, ...] = ()
+    applies: Callable[[InvestigativeAction], bool] | None = None
+
+    def __post_init__(self) -> None:
+        unknown = set(self.fields) - set(_FIELD_NAMES)
+        if unknown:
+            raise ValueError(f"{self.name} declares unknown fields: {unknown}")
+        if len(set(self.fields)) != len(self.fields):
+            raise ValueError(f"{self.name} declares a field twice")
+        if bool(self.guard) != (self.applies is not None):
+            raise ValueError(f"{self.name}: a guard needs its applies test")
+
+    @property
+    def fields(self) -> tuple[str, ...]:
+        """Every field the stage may read: the guard's, then the rest."""
+        return self.guard + self.reads
+
+
+def fact_getter(names: tuple[str, ...]) -> Callable[[ActionFingerprint], object]:
+    """An ``itemgetter`` projecting a fingerprint onto the named fields."""
+    return itemgetter(*(_FIELD_NAMES.index(name) for name in names))
 
 
 def action_fingerprint(action: InvestigativeAction) -> ActionFingerprint:

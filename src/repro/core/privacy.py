@@ -11,7 +11,26 @@ from __future__ import annotations
 
 from repro.core.action import InvestigativeAction
 from repro.core.enums import DataKind, LegalSource, Place
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import PrivacyFinding, ReasoningStep
+
+#: The facts both Katz prongs read.  The Kyllo technology factor is read
+#: only behind ``home_interior``, as the fingerprint normalizes it.
+FACTS = RuleRow(
+    "privacy",
+    reads=(
+        "data_kind",
+        "place",
+        "encrypted",
+        "knowingly_exposed",
+        "shared_with_others",
+        "delivered_to_recipient",
+        "policy_eliminates_rep",
+        "home_interior",
+        "technology_in_general_public_use",
+        "abandoned",
+    ),
+)
 
 
 def analyze_privacy(action: InvestigativeAction) -> PrivacyFinding:

@@ -10,7 +10,28 @@ from __future__ import annotations
 
 from repro.core.action import InvestigativeAction
 from repro.core.enums import LegalSource, ProcessKind
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import PrivacyFinding, ReasoningStep, Requirement
+
+
+def applies(action: InvestigativeAction) -> bool:
+    """The state-action requirement: only government searches count."""
+    return action.is_government_action()
+
+
+#: The doctrine flags read once state action is met.  The stage also
+#: takes the Katz finding, so the engine's memo keys it on the privacy
+#: stage's output as well as on these facts.
+FACTS = RuleRow(
+    "fourth_amendment",
+    guard=("actor",),
+    reads=(
+        "mining_of_lawful_data",
+        "credentials_lawfully_obtained",
+        "hash_search_of_lawful_media",
+    ),
+    applies=applies,
+)
 
 
 def evaluate(
@@ -28,7 +49,7 @@ def evaluate(
         Amendment imposes no requirement (private actor, no REP, or a
         doctrine that takes the action outside "search").
     """
-    if not action.is_government_action():
+    if not applies(action):
         # The state-action requirement: purely private searches are outside
         # the Fourth Amendment entirely (paper section III.B.i).
         return None

@@ -19,6 +19,7 @@ from repro.core.enums import (
     Place,
     ProcessKind,
 )
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import ReasoningStep, Requirement
 
 
@@ -30,6 +31,31 @@ def applies(action: InvestigativeAction) -> bool:
     are the SCA's.
     """
     return action.real_time() and action.data_kind is DataKind.NON_CONTENT
+
+
+#: The exception facts read once the statute applies (see
+#: :func:`statutory_exception`).
+EXCEPTION_READS = (
+    "actor",
+    "monitoring_own_network",
+    "emergency_pen_trap",
+    "victim_invited_monitoring",
+    "consent_covers_target_data",
+    "consent_effective",
+    "consent_scope",
+    "place",
+    "knowingly_exposed",
+    "shared_with_others",
+)
+
+#: The statute reaches real-time non-content only; the rest is its
+#: exceptions.
+FACTS = RuleRow(
+    "pentrap",
+    guard=("timing", "data_kind"),
+    reads=EXCEPTION_READS,
+    applies=applies,
+)
 
 
 def evaluate(action: InvestigativeAction) -> Requirement | None:

@@ -21,6 +21,7 @@ from repro.core.enums import (
     ProviderRole,
     Timing,
 )
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import ReasoningStep, Requirement
 
 
@@ -61,6 +62,21 @@ def applies(action: InvestigativeAction) -> bool:
         and action.timing is Timing.STORED
         and action.context.place is Place.THIRD_PARTY_PROVIDER
     )
+
+
+#: Government access to stored provider data; then the provider's role
+#: for the message and the 2703 tier of the data kind.
+FACTS = RuleRow(
+    "sca",
+    guard=("actor", "timing", "place"),
+    reads=(
+        "provider_role",
+        "provider_serves_public",
+        "delivered_to_recipient",
+        "data_kind",
+    ),
+    applies=applies,
+)
 
 
 def provider_role_for(action: InvestigativeAction) -> ProviderRole:

@@ -18,6 +18,7 @@ from repro.core.enums import (
     Place,
     ProcessKind,
 )
+from repro.core.fingerprint import RuleRow
 from repro.core.ruling import ReasoningStep, Requirement
 
 
@@ -29,6 +30,29 @@ def applies(action: InvestigativeAction) -> bool:
     governed by the SCA and Pen/Trap statute respectively.
     """
     return action.real_time() and action.acquires_content()
+
+
+#: The exception facts read once the statute applies (see
+#: :func:`statutory_exception`).
+EXCEPTION_READS = (
+    "actor",
+    "monitoring_own_network",
+    "victim_invited_monitoring",
+    "consent_covers_target_data",
+    "consent_effective",
+    "consent_scope",
+    "place",
+    "knowingly_exposed",
+    "shared_with_others",
+)
+
+#: Title III reaches real-time content only; the rest is its exceptions.
+FACTS = RuleRow(
+    "wiretap",
+    guard=("timing", "data_kind"),
+    reads=EXCEPTION_READS,
+    applies=applies,
+)
 
 
 def evaluate(action: InvestigativeAction) -> Requirement | None:

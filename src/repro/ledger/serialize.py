@@ -151,11 +151,12 @@ def ruling_from_dict(payload: dict) -> Ruling:
 class _Texts:
     """The texts derived from one ruling object, each built on first use."""
 
-    __slots__ = ("ruling", "json", "reasoning", "citations")
+    __slots__ = ("ruling", "json", "utf8", "reasoning", "citations")
 
     def __init__(self, ruling: Ruling) -> None:
         self.ruling = ruling  # pins the id() the entry is keyed by
         self.json: str | None = None
+        self.utf8: bytes | None = None
         self.reasoning: str | None = None
         self.citations: tuple[str, ...] | None = None
 
@@ -188,6 +189,23 @@ def ruling_to_json(ruling: Ruling) -> str:
     if text is None:
         text = entry.json = _canonical(ruling_to_dict(ruling))
     return text
+
+
+def ruling_to_utf8(ruling: Ruling) -> bytes:
+    """:func:`ruling_to_json`'s text as UTF-8, memoized alongside it.
+
+    The wire response is assembled from these bytes with one join, so a
+    ruling is encoded to bytes once, not once per response.  The ledger
+    writer keys its text-id memo on the same bytes, so a server holds
+    each ruling's canonical form once; the ``str`` is kept only if
+    something asks :func:`ruling_to_json` for it.
+    """
+    entry = _TEXTS.get(id(ruling)) or _texts(ruling)
+    data = entry.utf8
+    if data is None:
+        text = entry.json or _canonical(ruling_to_dict(ruling))
+        data = entry.utf8 = text.encode("utf-8")
+    return data
 
 
 def ruling_from_json(text: str) -> Ruling:

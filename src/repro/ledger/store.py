@@ -47,7 +47,7 @@ from repro.ledger.serialize import (
     instrument_to_dict,
     reasoning_text,
     ruling_from_json,
-    ruling_to_json,
+    ruling_to_utf8,
 )
 
 
@@ -149,9 +149,11 @@ class Ledger:
         self._connection.row_factory = sqlite3.Row
         self._connection.execute("PRAGMA foreign_keys = ON")
         self.stats = LedgerStats()
-        # ruling_texts id per canonical text recorded through this handle.
+        # ruling_texts id per canonical text recorded through this handle,
+        # keyed by the text's UTF-8 bytes: the same object the wire
+        # response joins, so a ledgered server holds each text once.
         # Capped like the engine's intern table; cleared on rollback().
-        self._text_ids: dict[str, int] = {}
+        self._text_ids: dict[bytes, int] = {}
         # Cursors of iter_rulings streams not yet read to the end.
         self._streams: set[sqlite3.Cursor] = set()
         self.fts_enabled = _fts_available(self._connection)
@@ -248,10 +250,10 @@ class Ledger:
             deterministic per fingerprint, so the stored bytes are
             already correct and the write is skipped).
         """
-        text = ruling_to_json(ruling)
-        text_id = self._text_ids.get(text)
+        data = ruling_to_utf8(ruling)
+        text_id = self._text_ids.get(data)
         if text_id is None:
-            text_id = self._record_text(text, ruling)
+            text_id = self._record_text(data, ruling)
         cursor = self._db.execute(
             """
             INSERT INTO rulings (
@@ -274,14 +276,15 @@ class Ledger:
         self.stats.ruling_writes += 1
         return True
 
-    def _record_text(self, text: str, ruling: Ruling) -> int:
-        """The ``ruling_texts`` id of ``text``, inserted if new.
+    def _record_text(self, data: bytes, ruling: Ruling) -> int:
+        """The ``ruling_texts`` id of the UTF-8 text ``data``, inserted if new.
 
         A new text row gets its citation rows and FTS document with it.
         The text itself is the dedupe key, so a tampered row (whose bytes
         no longer match any fresh ruling's) is never reused.
         """
         db = self._db
+        text = data.decode("utf-8")
         reasoning = reasoning_text(ruling)
         cursor = db.execute(
             "INSERT INTO ruling_texts (ruling_json, reasoning_text) "
@@ -307,7 +310,7 @@ class Ledger:
             ).fetchone()[0]
         if len(self._text_ids) >= engine.RULING_INTERN_MAX:
             self._text_ids.clear()
-        self._text_ids[text] = text_id
+        self._text_ids[data] = text_id
         return text_id
 
     def ruling_for(

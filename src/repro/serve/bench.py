@@ -108,6 +108,7 @@ def _check_metrics_endpoint(address: tuple[str, int] | None) -> dict:
         'repro_serve_shard_actions_total{shard="0"}',
         "repro_serve_round_trip_seconds_bucket",
         "repro_serve_ruling_seconds_bucket",
+        'repro_rule_memo_entries{rule="privacy"}',
     )
     missing = [marker for marker in required if marker not in text]
     return {

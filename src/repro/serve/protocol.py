@@ -28,7 +28,11 @@ to — the one the client held.
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
+from collections.abc import Callable
+from operator import itemgetter
 from typing import Any
 
 from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
@@ -132,22 +136,133 @@ _CONSENT_SCOPES = dict(ConsentScope.__members__)
 #: hostile traffic with endlessly new parts cannot grow memory.
 INTERN_MAX = 4096
 
-# One frozen part per distinct tuple of *coerced* field values.  Parts
-# repeat heavily across traffic (36k distinct actions hold ~1,400
-# distinct contexts) while descriptions usually do not, so sharing the
-# parts saves most of the construction work without holding every
-# distinct action alive.
+# One frozen part per distinct tuple of raw, type-checked field values
+# (enums by name).  Parts repeat heavily across traffic (36k distinct
+# actions hold ~1,400 distinct contexts) while descriptions usually do
+# not, so sharing the parts saves most of the construction work without
+# holding every distinct action alive.
 _CONTEXTS: dict[tuple, EnvironmentContext] = {}
 _CONSENTS: dict[tuple, ConsentFacts] = {}
 _DOCTRINES: dict[tuple, DoctrineFacts] = {}
 
 
-def _intern(table: dict, key: tuple, part_type: type) -> Any:
-    part = table.get(key)
-    if part is None:
-        if len(table) >= INTERN_MAX:
-            table.clear()
-        part = table[key] = part_type(*key)
+class FieldTypeError(ProtocolError):
+    """An action field holding a JSON value of the wrong type."""
+
+
+#: The JSON types a field may hold, by the Python type ``json`` decodes.
+_NAME = (str,)
+_FLAG = (bool,)
+_OPTIONAL_NAME = (str, type(None))
+_OPTIONAL_FLAG = (bool, type(None))
+
+_JSON_TYPE_NAMES = {
+    str: "a string",
+    bool: "true or false",
+    type(None): "null",
+    int: "a number",
+    float: "a number",
+    list: "an array",
+    dict: "an object",
+}
+
+
+def _flags(part: str, *names: str) -> tuple[tuple[str, tuple], ...]:
+    return tuple((f"{part}.{name}", _FLAG) for name in names)
+
+
+# Every action field with the JSON types it may hold: the top level,
+# then the context, consent and doctrine parts, each part's fields in
+# declaration order, so a part's value tuple doubles as its positional
+# constructor arguments once the enum names are resolved.
+_HEAD_FIELDS = (
+    ("description", _NAME),
+    ("actor", _NAME),
+    ("data_kind", _NAME),
+    ("timing", _NAME),
+)
+_CONTEXT_FIELDS = (
+    ("context.place", _NAME),
+    *_flags(
+        "context",
+        "encrypted",
+        "knowingly_exposed",
+        "shared_with_others",
+        "delivered_to_recipient",
+    ),
+    ("context.provider_serves_public", _OPTIONAL_FLAG),
+    ("context.provider_role", _OPTIONAL_NAME),
+    *_flags(
+        "context",
+        "policy_eliminates_rep",
+        "home_interior",
+        "technology_in_general_public_use",
+        "abandoned",
+    ),
+)
+_CONSENT_FIELDS = (
+    ("consent.scope", _NAME),
+    *_flags(
+        "consent", "voluntary", "exceeds_authority", "revoked",
+        "covers_target_data",
+    ),
+)
+_DOCTRINE_FIELDS = _flags(
+    "doctrine", *(field.name for field in dataclasses.fields(DoctrineFacts))
+)
+_FIELDS = _HEAD_FIELDS + _CONTEXT_FIELDS + _CONSENT_FIELDS + _DOCTRINE_FIELDS
+
+
+def _values(fields: tuple[tuple[str, tuple], ...]) -> itemgetter:
+    """Reads one part's raw field values in a single C-level call."""
+    return itemgetter(*(path.rpartition(".")[2] for path, _ in fields))
+
+
+_HEAD = _values(_HEAD_FIELDS)
+_CONTEXT = _values(_CONTEXT_FIELDS)
+_CONSENT = _values(_CONSENT_FIELDS)
+_DOCTRINE = _values(_DOCTRINE_FIELDS)
+
+#: Every valid tuple of the types of an action's field values, in
+#: ``_FIELDS`` order.  The check runs before any value tuple is used as
+#: an intern key: ``1 == True`` and ``hash(1) == hash(True)``, so an
+#: unchecked ``1`` would find the part interned for ``true``.
+_ALLOWED_TYPES = frozenset(itertools.product(*(types for _, types in _FIELDS)))
+
+
+def _type_error(values: tuple) -> FieldTypeError:
+    """The error naming the first field whose value has the wrong type."""
+    for (path, types), value in zip(_FIELDS, values):
+        if type(value) not in types:
+            expected = " or ".join(_JSON_TYPE_NAMES[t] for t in types)
+            found = _JSON_TYPE_NAMES.get(type(value), "another type")
+            return FieldTypeError(f"{path} must be {expected}, not {found}")
+    raise AssertionError("no field has the wrong type")  # pragma: no cover
+
+
+def _context(values: tuple) -> EnvironmentContext:
+    role = values[6]
+    return EnvironmentContext(
+        _PLACES[values[0]],
+        *values[1:6],
+        None if role is None else _PROVIDER_ROLES[role],
+        *values[7:],
+    )
+
+
+def _consent(values: tuple) -> ConsentFacts:
+    return ConsentFacts(_CONSENT_SCOPES[values[0]], *values[1:])
+
+
+def _doctrine(values: tuple) -> DoctrineFacts:
+    return DoctrineFacts(*values)
+
+
+def _intern(table: dict, key: tuple, build: Callable[[tuple], Any]) -> Any:
+    """Build and store the part for a key its table does not hold."""
+    if len(table) >= INTERN_MAX:
+        table.clear()
+    part = table[key] = build(key)
     return part
 
 
@@ -155,69 +270,36 @@ def action_from_dict(payload: dict) -> InvestigativeAction:
     """Rebuild an action that compares equal to (and fingerprints
     identically to) the encoded one.
 
-    The context, consent and doctrine parts are shared between actions
-    whose coerced field values are equal; the parts are frozen, so the
+    Flags must be JSON ``true``/``false`` (``provider_serves_public``
+    may also be ``null``), enum fields strings naming a member
+    (``provider_role`` may also be ``null``) and ``description`` a
+    string.  The context, consent and doctrine parts are shared between
+    actions whose field values are equal; the parts are frozen, so the
     sharing is invisible to every consumer.
 
     Raises:
-        ProtocolError: On missing fields, unknown enum names or
-            unhashable enum values.
+        FieldTypeError: On a field holding a value of the wrong JSON type;
+            the message names the field.
+        ProtocolError: On missing fields, non-object parts or unknown
+            enum names.
     """
     try:
-        context = payload["context"]
-        consent = payload["consent"]
-        doctrine = payload["doctrine"]
-        provider_role = context["provider_role"]
-        description = str(payload["description"])
-        actor = _ACTORS[payload["actor"]]
-        data_kind = _DATA_KINDS[payload["data_kind"]]
-        timing = _TIMINGS[payload["timing"]]
-        # Each key lists its part's fields in declaration order, so it
-        # doubles as the part's positional constructor arguments.
-        context_key = (
-            _PLACES[context["place"]],
-            bool(context["encrypted"]),
-            bool(context["knowingly_exposed"]),
-            bool(context["shared_with_others"]),
-            bool(context["delivered_to_recipient"]),
-            (
-                None
-                if (serves_public := context["provider_serves_public"])
-                is None
-                else bool(serves_public)
-            ),
-            None if provider_role is None else _PROVIDER_ROLES[provider_role],
-            bool(context["policy_eliminates_rep"]),
-            bool(context["home_interior"]),
-            bool(context["technology_in_general_public_use"]),
-            bool(context["abandoned"]),
-        )
-        consent_key = (
-            _CONSENT_SCOPES[consent["scope"]],
-            bool(consent["voluntary"]),
-            bool(consent["exceeds_authority"]),
-            bool(consent["revoked"]),
-            bool(consent["covers_target_data"]),
-        )
-        doctrine_key = (
-            bool(doctrine["exigent_circumstances"]),
-            bool(doctrine["plain_view"]),
-            bool(doctrine["target_on_probation"]),
-            bool(doctrine["emergency_pen_trap"]),
-            bool(doctrine["hash_search_of_lawful_media"]),
-            bool(doctrine["mining_of_lawful_data"]),
-            bool(doctrine["credentials_lawfully_obtained"]),
-            bool(doctrine["monitoring_own_network"]),
-            bool(doctrine["victim_invited_monitoring"]),
-        )
+        head = _HEAD(payload)
+        context = _CONTEXT(payload["context"])
+        consent = _CONSENT(payload["consent"])
+        doctrine = _DOCTRINE(payload["doctrine"])
+        values = head + context + consent + doctrine
+        if tuple(map(type, values)) not in _ALLOWED_TYPES:
+            raise _type_error(values)
         return InvestigativeAction(
-            description,
-            actor,
-            data_kind,
-            timing,
-            _intern(_CONTEXTS, context_key, EnvironmentContext),
-            _intern(_CONSENTS, consent_key, ConsentFacts),
-            _intern(_DOCTRINES, doctrine_key, DoctrineFacts),
+            head[0],
+            _ACTORS[head[1]],
+            _DATA_KINDS[head[2]],
+            _TIMINGS[head[3]],
+            _CONTEXTS.get(context) or _intern(_CONTEXTS, context, _context),
+            _CONSENTS.get(consent) or _intern(_CONSENTS, consent, _consent),
+            _DOCTRINES.get(doctrine)
+            or _intern(_DOCTRINES, doctrine, _doctrine),
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed action: {exc}") from exc

@@ -41,17 +41,18 @@ import dataclasses
 import sqlite3
 
 from repro.core.cache import DEFAULT_CACHE_SIZE
-from repro.core.engine import interned_rulings
+from repro.core.engine import interned_rulings, rule_memo_entries
 from repro.ledger.serialize import (
     canonical_json,
     ruling_to_dict,  # noqa: F401 - servebench/tracing.py wraps it by name
-    ruling_to_json,
+    ruling_to_utf8,
 )
 from repro.ledger.store import Ledger
 from repro.obs import OBS, bind_ruling_cache, clock
 from repro.serve.protocol import (
     MAX_BATCH_ACTIONS,
     MAX_LINE_BYTES,
+    FieldTypeError,
     ProtocolError,
     action_from_dict,
     decode_line,
@@ -200,6 +201,14 @@ class RulingServer:
             lambda: float(interned_rulings()),
             "Distinct rulings held in the engine's intern table.",
         )
+        for rule in rule_memo_entries():
+            registry.gauge_fn(
+                "repro_rule_memo_entries",
+                lambda rule=rule: float(rule_memo_entries()[rule]),
+                "Keys held per rule-stage memo (and the combination "
+                "table's, as rule=\"combine\").",
+                {"rule": rule},
+            )
         for shard in self.router.shards:
             bind_ruling_cache(shard.cache.stats, name=f"shard{shard.index}")
             registry.gauge_fn(
@@ -261,7 +270,13 @@ class RulingServer:
         try:
             actions = self._decode_batch(message)
         except ProtocolError as exc:
-            self._errors_total.inc(reason="bad_action")
+            self._errors_total.inc(
+                reason=(
+                    "bad_field_type"
+                    if isinstance(exc, FieldTypeError)
+                    else "bad_action"
+                )
+            )
             return _error_response(request_id, str(exc))
         self._actions_total.inc(len(actions))
         assert self.router is not None
@@ -301,33 +316,38 @@ class RulingServer:
             )
         return [action_from_dict(item) for item in payload]
 
-    def _encode_ruling(self, ruling) -> str:
-        """Canonical JSON for one ruling, memoized per ruling object."""
-        return ruling_to_json(ruling)
+    def _encode_ruling(self, ruling) -> bytes:
+        """Canonical JSON for one ruling as UTF-8, memoized per ruling."""
+        return ruling_to_utf8(ruling)
 
     def _encode_rule_response(
         self, request_id: object, rulings: list
     ) -> bytes:
-        """The response line, assembled from memoized ruling strings.
+        """The response line, joined from memoized ruling bytes.
 
         Byte-identical to ``encode_line({"id": ..., "ok": True,
         "rulings": [...]})``: the envelope keys are already in canonical
-        (sorted) order and each memoized string is exactly the canonical
+        (sorted) order and each memoized text is exactly the canonical
         encoding of its ruling dict.  The engine interns rulings by
         their rule outputs, so a ruling seen before, hot or cold, costs
-        a lookup here instead of a re-serialization.
+        a lookup here instead of a re-serialization or a re-encode.
         """
         envelope = canonical_json({"id": request_id, "ok": True})
-        parts = [envelope[:-1], ',"rulings":[']
-        parts.append(",".join(self._encode_ruling(r) for r in rulings))
-        parts.append("]}\n")
-        return "".join(parts).encode("utf-8")
+        return b"".join(
+            (
+                envelope[:-1].encode("utf-8"),
+                b',"rulings":[',
+                b",".join(map(self._encode_ruling, rulings)),
+                b"]}\n",
+            )
+        )
 
     def _stats_response(self) -> dict:
         assert self.router is not None
         stats = self.router.stats()
         stats["primed_rulings"] = self.primed_rulings
         stats["interned_rulings"] = interned_rulings()
+        stats["rule_memo"] = rule_memo_entries()
         return {"ok": True, "stats": stats}
 
     # -- metrics HTTP ------------------------------------------------------------

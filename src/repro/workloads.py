@@ -88,6 +88,28 @@ def action_corpus(n: int, seed: int = 0) -> list[InvestigativeAction]:
     return [random_action(rng, index) for index in range(n)]
 
 
+def paper_corpus() -> list[tuple[str, InvestigativeAction]]:
+    """Every action the paper itself rules on, in a fixed order.
+
+    The 20 Table 1 scenes (section ``"table1"``), then the section IV.A
+    timing attack's actions (``"iv_a"``), then the section IV.B DSSS
+    watermark's (``"iv_b"``), each as ``(section, action)``.  The paper's
+    conclusions on them are 20/20 Table 1 agreement, no process for
+    IV.A and a court order for IV.B.
+    """
+    # Imported here: the technique modules pull in the signal kernels,
+    # which the random corpora above do not need.
+    from repro.core.scenarios import build_table1
+    from repro.techniques.timing_attack import OneSwarmTimingAttack
+    from repro.techniques.watermark import DsssWatermarkTechnique
+
+    return [
+        *(("table1", scene.action) for scene in build_table1()),
+        *(("iv_a", a) for a in OneSwarmTimingAttack().required_actions()),
+        *(("iv_b", a) for a in DsssWatermarkTechnique().required_actions()),
+    ]
+
+
 @dataclasses.dataclass(frozen=True)
 class LabeledAction:
     """An action plus the engine's ruling on it."""

@@ -39,9 +39,16 @@ class _NeverStores(dict):
 
 @pytest.fixture
 def empty_tables(monkeypatch):
-    """Start from empty intern and text tables, restored afterwards."""
+    """Start from empty intern, memo and text tables.
+
+    The intern and text tables are restored afterwards; the stage memos
+    are left empty (they refill, and every entry is sound on its own).
+    """
     monkeypatch.setattr(engine_module, "_RULINGS", {})
+    monkeypatch.setattr(engine_module, "_COMBINED", {})
     monkeypatch.setattr(serialize, "_TEXTS", {})
+    for memo in engine_module.RULE_MEMOS:
+        memo.clear()
 
 
 @pytest.fixture(scope="module")
@@ -146,34 +153,53 @@ def test_a_tampered_primed_row_never_reaches_a_fresh_engine(
     assert serialize.ruling_to_json(fresh) == honest_text
 
 
+def _largest_table() -> int:
+    """The fullest intern, text or memo table right now."""
+    return max(
+        len(engine_module._RULINGS),
+        len(engine_module._COMBINED),
+        len(serialize._TEXTS),
+        *(
+            len(table)
+            for memo in engine_module.RULE_MEMOS
+            for table in (memo._guards, memo._entries, memo._outputs)
+        ),
+    )
+
+
 def test_a_small_cap_bounds_both_tables_and_keeps_every_byte(
     empty_tables, golden_corpus, monkeypatch
 ):
     reference = _reference_texts(golden_corpus, monkeypatch)
     monkeypatch.setattr(engine_module, "RULING_INTERN_MAX", 8)
-    engine = ComplianceEngine()
-    texts = []
-    largest = 0
-    for action in golden_corpus:
-        texts.append(serialize.ruling_to_json(engine.evaluate(action)))
-        largest = max(
-            largest, len(engine_module._RULINGS), len(serialize._TEXTS)
-        )
-    assert 0 < largest <= 8
-    assert texts == reference
+    # No cache runs the whole pipeline every time; a one-entry cache
+    # sends nearly every action down the memoized miss path.
+    for cache in (None, 1):
+        engine = ComplianceEngine(cache=cache)
+        texts = []
+        largest = 0
+        for action in golden_corpus:
+            texts.append(serialize.ruling_to_json(engine.evaluate(action)))
+            largest = max(largest, _largest_table())
+        assert 0 < largest <= 8
+        assert texts == reference
 
 
 def test_threads_sharing_a_tiny_table_keep_every_byte(
     empty_tables, golden_corpus, monkeypatch
 ):
-    """Concurrent misses, hits and wholesale clears never mix up texts."""
+    """Concurrent misses, hits and wholesale clears never mix up texts.
+
+    Half the workers run the pipeline and half the stage memos, so the
+    memo, combination, intern and text tables all churn at once.
+    """
     sample = golden_corpus[:1500]
     reference = _reference_texts(sample, monkeypatch)
     monkeypatch.setattr(engine_module, "RULING_INTERN_MAX", 8)
     results: dict[int, list[str]] = {}
 
     def rule(worker: int) -> None:
-        engine = ComplianceEngine()
+        engine = ComplianceEngine(cache=None if worker % 2 else 1)
         results[worker] = [
             serialize.ruling_to_json(engine.evaluate(action))
             for action in sample

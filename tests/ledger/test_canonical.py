@@ -87,7 +87,10 @@ def _ledger_rows(actions, cap_monitor=None):
 @pytest.fixture
 def empty_tables(monkeypatch):
     monkeypatch.setattr(engine_module, "_RULINGS", {})
+    monkeypatch.setattr(engine_module, "_COMBINED", {})
     monkeypatch.setattr(serialize, "_TEXTS", {})
+    for memo in engine_module.RULE_MEMOS:
+        memo.clear()
 
 
 def test_a_small_cap_bounds_the_memos_and_keeps_every_row(

@@ -23,6 +23,7 @@ from repro.serve import protocol
 from repro.serve.protocol import (
     MAX_BATCH_ACTIONS,
     MAX_LINE_BYTES,
+    FieldTypeError,
     ProtocolError,
     action_from_dict,
     action_to_dict,
@@ -117,49 +118,91 @@ junk = st.recursive(
 )
 
 
+def _flag(value, optional=False):
+    """A JSON ``true``/``false`` (or ``null`` when optional), else TypeError."""
+    if type(value) is bool or (optional and value is None):
+        return value
+    raise TypeError(f"not a flag: {value!r}")
+
+
+def _member(enum_type, name, optional=False):
+    """The member a JSON string names (or ``None``), else Key/TypeError."""
+    if optional and name is None:
+        return None
+    if type(name) is not str:
+        raise TypeError(f"not a name: {name!r}")
+    return enum_type[name]
+
+
 def _reference(payload):
-    """The decoder as a plain construction: ``Enum[name]`` and ``bool()``."""
+    """The decoder as a plain construction: ``Enum[name]`` and strict types."""
     context = payload["context"]
     consent = payload["consent"]
     doctrine = payload["doctrine"]
-    serves_public = context["provider_serves_public"]
-    role = context["provider_role"]
+    description = payload["description"]
+    if type(description) is not str:
+        raise TypeError(f"not a string: {description!r}")
     return InvestigativeAction(
-        description=str(payload["description"]),
-        actor=Actor[payload["actor"]],
-        data_kind=DataKind[payload["data_kind"]],
-        timing=Timing[payload["timing"]],
+        description=description,
+        actor=_member(Actor, payload["actor"]),
+        data_kind=_member(DataKind, payload["data_kind"]),
+        timing=_member(Timing, payload["timing"]),
         context=EnvironmentContext(
-            place=Place[context["place"]],
-            encrypted=bool(context["encrypted"]),
-            knowingly_exposed=bool(context["knowingly_exposed"]),
-            shared_with_others=bool(context["shared_with_others"]),
-            delivered_to_recipient=bool(context["delivered_to_recipient"]),
-            provider_serves_public=(
-                None if serves_public is None else bool(serves_public)
+            place=_member(Place, context["place"]),
+            encrypted=_flag(context["encrypted"]),
+            knowingly_exposed=_flag(context["knowingly_exposed"]),
+            shared_with_others=_flag(context["shared_with_others"]),
+            delivered_to_recipient=_flag(context["delivered_to_recipient"]),
+            provider_serves_public=_flag(
+                context["provider_serves_public"], optional=True
             ),
-            provider_role=None if role is None else ProviderRole[role],
-            policy_eliminates_rep=bool(context["policy_eliminates_rep"]),
-            home_interior=bool(context["home_interior"]),
-            technology_in_general_public_use=bool(
+            provider_role=_member(
+                ProviderRole, context["provider_role"], optional=True
+            ),
+            policy_eliminates_rep=_flag(context["policy_eliminates_rep"]),
+            home_interior=_flag(context["home_interior"]),
+            technology_in_general_public_use=_flag(
                 context["technology_in_general_public_use"]
             ),
-            abandoned=bool(context["abandoned"]),
+            abandoned=_flag(context["abandoned"]),
         ),
         consent=ConsentFacts(
-            scope=ConsentScope[consent["scope"]],
-            voluntary=bool(consent["voluntary"]),
-            exceeds_authority=bool(consent["exceeds_authority"]),
-            revoked=bool(consent["revoked"]),
-            covers_target_data=bool(consent["covers_target_data"]),
+            scope=_member(ConsentScope, consent["scope"]),
+            voluntary=_flag(consent["voluntary"]),
+            exceeds_authority=_flag(consent["exceeds_authority"]),
+            revoked=_flag(consent["revoked"]),
+            covers_target_data=_flag(consent["covers_target_data"]),
         ),
         doctrine=DoctrineFacts(
             **{
-                name: bool(doctrine[name])
+                name: _flag(doctrine[name])
                 for name in DoctrineFacts.__dataclass_fields__
             }
         ),
     )
+
+
+def _flag_paths(payload):
+    """``(part, field)`` of every flag field of an encoded action."""
+    return [
+        (part, name)
+        for part in ("context", "consent", "doctrine")
+        for name, value in payload[part].items()
+        if isinstance(value, bool) or name == "provider_serves_public"
+    ]
+
+
+#: JSON values that are not ``true``/``false``, ``0``/``1`` included.
+non_bool_json = st.recursive(
+    st.none()
+    | st.integers(min_value=-(10**6), max_value=10**6)
+    | st.floats(allow_nan=False)
+    | st.text(max_size=12)
+    | st.sampled_from(["true", "false", "True", "", "0", "1"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def _field_paths(payload):
@@ -215,6 +258,56 @@ class TestActionCodecProperties:
                 action_from_dict(payload)
         else:
             assert action_from_dict(payload) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(actions, st.data(), non_bool_json)
+    def test_every_non_bool_flag_value_is_refused_by_name(
+        self, action, data, value
+    ):
+        payload = action_to_dict(action)
+        part, name = data.draw(st.sampled_from(_flag_paths(payload)))
+        if value is None and name == "provider_serves_public":
+            value = 0  # null is this field's "unknown"; refuse a number
+        payload[part][name] = value
+        with pytest.raises(FieldTypeError, match=rf"^{part}\.{name} must be"):
+            action_from_dict(payload)
+
+    def test_string_false_is_refused_not_read_as_true(self):
+        payload = action_to_dict(action_corpus(1, seed=3)[0])
+        payload["context"]["encrypted"] = "false"
+        with pytest.raises(
+            FieldTypeError, match="context.encrypted must be true or false"
+        ):
+            action_from_dict(payload)
+
+    @pytest.mark.parametrize("value", [1, 0, 1.0, [], [0], {}])
+    def test_values_equal_to_a_flag_never_hit_its_interned_part(self, value):
+        payload = action_to_dict(action_corpus(1, seed=3)[0])
+        action_from_dict(payload)  # interns the parts for the real flags
+        payload["doctrine"]["plain_view"] = value
+        with pytest.raises(FieldTypeError, match="doctrine.plain_view"):
+            action_from_dict(payload)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("description",), 7),
+            (("actor",), 1),
+            (("context", "place"), ["PUBLIC"]),
+            (("context", "provider_role"), True),
+            (("consent", "scope"), None),
+        ],
+    )
+    def test_non_string_names_and_descriptions_are_refused_by_name(
+        self, path, value
+    ):
+        payload = action_to_dict(action_corpus(1, seed=3)[0])
+        parent = payload
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        with pytest.raises(FieldTypeError, match=r"\.".join(path) + " must be"):
+            action_from_dict(payload)
 
     def test_intern_tables_stay_within_the_cap(self):
         payload = action_to_dict(action_corpus(1, seed=3)[0])

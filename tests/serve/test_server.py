@@ -66,6 +66,13 @@ class TestOps:
                 # The intern table is process-wide, so other servers in
                 # this process may have filled it too.
                 assert 1 <= stats["interned_rulings"] <= RULING_INTERN_MAX
+                memo = stats["rule_memo"]
+                assert set(memo) == {
+                    "privacy", "fourth_amendment", "wiretap", "sca",
+                    "pentrap", "exceptions", "statutory_exceptions",
+                    "combine",
+                }
+                assert all(1 <= keys for keys in memo.values())
 
     def test_connection_survives_request_level_errors(self):
         with ServerThread(_config()) as thread:
@@ -96,6 +103,27 @@ class TestOps:
 
                 # The connection is still healthy after all of that.
                 assert client.ping()["ok"] is True
+
+    def test_a_wrongly_typed_flag_is_refused_by_name_and_counted(self):
+        corpus = action_corpus(2, seed=33)
+        payload = [action_to_dict(a) for a in corpus]
+        payload[1]["context"]["encrypted"] = "false"
+        with ServerThread(_config()) as thread:
+            host, port = thread.address
+            with ServeClient(host, port) as client:
+                client.send_line({"op": "rule", "id": 4, "actions": payload})
+                response = client.read_response()
+                assert response["ok"] is False and response["id"] == 4
+                assert "context.encrypted must be true or false" in (
+                    response["error"]
+                )
+                # The same batch with a real flag is ruled as usual.
+                payload[1]["context"]["encrypted"] = False
+                client.send_line({"op": "rule", "id": 5, "actions": payload})
+                assert client.read_response()["ok"] is True
+                _status, text = _get(thread.metrics_address, "/metrics")
+        assert 'repro_serve_errors_total{reason="bad_field_type"} 1' in text
+        assert 'reason="bad_action"' not in text
 
     def test_batch_cap_is_enforced(self):
         corpus = action_corpus(3, seed=32)
@@ -277,6 +305,8 @@ class TestMetricsEndpoint:
                 "repro_serve_round_trip_seconds_count 2",
                 "repro_serve_connections 1",
                 "repro_ruling_intern_entries",
+                'repro_rule_memo_entries{rule="privacy"}',
+                'repro_rule_memo_entries{rule="combine"}',
             ):
                 assert marker in text, marker
 
