@@ -26,10 +26,11 @@ import sys
 from collections.abc import Callable, Sequence
 
 from repro.core import ComplianceEngine, ResearchAdvisor, build_table1
-from repro.investigation import format_assessment, format_table1
 
 
 def _cmd_table1(args: argparse.Namespace) -> int:
+    from repro.investigation import format_table1
+
     engine = ComplianceEngine()
     print(format_table1(build_table1(), engine))
     return 0
@@ -95,6 +96,8 @@ def _technique_factories() -> dict[str, Callable[[], object]]:
 
 
 def _cmd_assess(args: argparse.Namespace) -> int:
+    from repro.investigation import format_assessment
+
     factories = _technique_factories()
     factory = factories.get(args.technique)
     if factory is None:

@@ -5,7 +5,8 @@ action's ruling depends on is captured by its fingerprint
 (:mod:`repro.core.fingerprint`), so rulings are safe to share between
 equal-fingerprint actions.  This module provides the bounded LRU map the
 engine uses to do that, instrumented with the hit/miss/eviction counters
-that ``repro bench`` reports.
+that ``repro bench`` reports, and :func:`bounded_put`, the one
+clear-when-full insert every intern and memo table uses.
 """
 
 from __future__ import annotations
@@ -20,6 +21,25 @@ from repro.core.ruling import Ruling
 #: bound.  Rulings are small frozen dataclasses; 4096 of them is a few
 #: megabytes and covers the full fingerprint space of most workloads.
 DEFAULT_CACHE_SIZE = 4096
+
+#: Cap on every intern and memo table (entries): the engine's ruling,
+#: combination and stage-memo tables, the wire decoder's part tables and
+#: the ledger's text memos.  A full table is cleared wholesale and
+#: refilled, so traffic with endlessly new keys cannot grow memory.
+INTERN_MAX = 4096
+
+
+def bounded_put(table: dict, key: object, value: object) -> object:
+    """Store ``value`` under ``key``, clearing a full table first.
+
+    Returns:
+        ``value``, so a lookup can read ``table.get(key) or
+        bounded_put(table, key, build())``.
+    """
+    if len(table) >= INTERN_MAX:
+        table.clear()
+    table[key] = value
+    return value
 
 
 @dataclasses.dataclass

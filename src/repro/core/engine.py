@@ -22,6 +22,10 @@ stage is looked up by the fingerprint fields its module declares
 the seven stage outputs' serial numbers.  An uncached engine always runs
 the stages themselves, which is what the cached-vs-fresh differential
 compares the memos against.
+
+Every ruling is built in one place, :meth:`ComplianceEngine._combine`,
+and every citation in its trace is checked there against
+:data:`AUTHORITIES` before the ruling is interned or handed out.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from collections.abc import Callable, Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
 from repro.core.action import InvestigativeAction
-from repro.core.cache import CacheStats, RulingCache
+from repro.core.cache import CacheStats, RulingCache, bounded_put
 from repro.core.caselaw import AuthorityRegistry, build_default_registry
 from repro.core.enums import LegalSource, ProcessKind
 from repro.core import exceptions as exception_rules
@@ -50,10 +54,9 @@ from repro.core.statutes import fourth_amendment, pentrap, sca, wiretap
 from repro.obs import OBS, span
 
 
-#: Cap on the ruling intern table (entries).  A full table is cleared
-#: wholesale and refilled, like the wire decoder's intern tables, so
-#: traffic with endlessly new rule outputs cannot grow memory.
-RULING_INTERN_MAX = 4096
+#: The authorities rulings may cite, built once at import.  Every
+#: citation is checked against it when a ruling is built.
+AUTHORITIES: AuthorityRegistry = build_default_registry()
 
 # One shared ruling per distinct (privacy, requirements, exceptions)
 # rule output.  Rule outputs repeat far more than actions do (the serve
@@ -69,13 +72,6 @@ _RULINGS: dict[tuple, Ruling] = {}
 def interned_rulings() -> int:
     """How many distinct rulings the intern table currently holds."""
     return len(_RULINGS)
-
-
-def _bounded_put(table: dict, key: object, value: object) -> None:
-    """Insert into an intern or memo table, clearing it first when full."""
-    if len(table) >= RULING_INTERN_MAX:
-        table.clear()
-    table[key] = value
 
 
 #: Serial numbers for distinct stage outputs, never reused: a serial
@@ -96,10 +92,10 @@ class RuleMemo:
     fields first: where the guard fails, that short key holds the entry;
     where it holds, the key holds a marker and the entry sits under the
     stage's full row (plus the upstream stage's serial, for a stage that
-    takes one).  Every table is capped at :data:`RULING_INTERN_MAX` and
-    cleared wholesale when full.  Threads racing on one key at worst
-    compute the stage twice or give equal outputs two serials; no serial
-    ever names two different outputs.
+    takes one).  Every table is filled through
+    :func:`~repro.core.cache.bounded_put`.  Threads racing on one key at
+    worst compute the stage twice or give equal outputs two serials; no
+    serial ever names two different outputs.
 
     Args:
         row: The stage's declared facts.
@@ -128,45 +124,38 @@ class RuleMemo:
         """Keys held: guard keys plus full-row keys."""
         return len(self._guards) + len(self._entries)
 
-    def get(
-        self, fingerprint: tuple, upstream: tuple | None = None
-    ) -> tuple | None:
-        """The ``(output, serial)`` entry for a fingerprint, or ``None``."""
-        if self._guard_key is not None:
-            entry = self._guards.get(self._guard_key(fingerprint))
-            if entry is not _APPLIES:
-                return entry
-        key = self._key(fingerprint)
-        if upstream is not None:
-            key = (key, upstream[1])
-        return self._entries.get(key)
-
-    def fill(
+    def entry(
         self,
         fingerprint: tuple,
         engine: "ComplianceEngine",
         action: InvestigativeAction,
         upstream: tuple | None = None,
     ) -> tuple:
-        """Run the stage for a missed key and store its entry."""
-        applies = self.row.applies
-        output = self._stage(
-            engine, action, None if upstream is None else upstream[0]
-        )
-        entry = self._outputs.get(output)
-        if entry is None:
-            entry = (output, next(_SERIALS))
-            _bounded_put(self._outputs, output, entry)
-        if applies is not None and not applies(action):
-            _bounded_put(self._guards, self._guard_key(fingerprint), entry)
-            return entry
+        """The ``(output, serial)`` entry for a fingerprint, running the
+        stage and storing its entry on a miss."""
+        guard = None
         if self._guard_key is not None:
-            _bounded_put(self._guards, self._guard_key(fingerprint), _APPLIES)
+            guard = self._guard_key(fingerprint)
+            entry = self._guards.get(guard)
+            if entry is not None and entry is not _APPLIES:
+                return entry
         key = self._key(fingerprint)
         if upstream is not None:
             key = (key, upstream[1])
-        _bounded_put(self._entries, key, entry)
-        return entry
+        entry = self._entries.get(key)
+        if entry is not None:
+            return entry
+        output = self._stage(
+            engine, action, None if upstream is None else upstream[0]
+        )
+        entry = self._outputs.get(output) or bounded_put(
+            self._outputs, output, (output, next(_SERIALS))
+        )
+        if guard is not None:
+            if not self.row.applies(action):
+                return bounded_put(self._guards, guard, entry)
+            bounded_put(self._guards, guard, _APPLIES)
+        return bounded_put(self._entries, key, entry)
 
     def clear(self) -> None:
         """Drop every key (serials already handed out stay retired)."""
@@ -251,9 +240,7 @@ class RulingLedger(Protocol):
         """Persist one freshly evaluated ruling; returns True if new."""
         ...  # pragma: no cover - protocol
 
-    def iter_rulings(
-        self, limit: int | None = None
-    ) -> Iterator[tuple[tuple, Ruling]]:
+    def iter_rulings(self) -> Iterator[tuple[tuple, Ruling]]:
         """Stream persisted ``(fingerprint, ruling)`` pairs."""
         ...  # pragma: no cover - protocol
 
@@ -262,12 +249,10 @@ class ComplianceEngine:
     """Rules on investigative actions under the paper's legal framework.
 
     The engine is deterministic and side-effect free: the same action
-    always produces the same ruling.  An optional
-    :class:`~repro.core.caselaw.AuthorityRegistry` validates that every
-    citation emitted by the rule modules actually exists.
+    always produces the same ruling, and every citation in it names an
+    authority in :data:`AUTHORITIES`.
 
     Args:
-        registry: Authority registry citations are validated against.
         cache: Memoization for rulings, keyed by action fingerprint
             (:func:`~repro.core.fingerprint.action_fingerprint`).  Pass a
             :class:`~repro.core.cache.RulingCache` to share one across
@@ -283,11 +268,10 @@ class ComplianceEngine:
 
     def __init__(
         self,
-        registry: AuthorityRegistry | None = None,
+        *,
         cache: RulingCache | int | None = None,
         ledger: RulingLedger | None = None,
     ) -> None:
-        self._registry = registry or build_default_registry()
         if isinstance(cache, int):
             cache = RulingCache(maxsize=cache)
         self._cache = cache
@@ -295,8 +279,8 @@ class ComplianceEngine:
 
     @property
     def registry(self) -> AuthorityRegistry:
-        """The authority registry rulings cite into."""
-        return self._registry
+        """The authority registry rulings cite into (:data:`AUTHORITIES`)."""
+        return AUTHORITIES
 
     @property
     def cache(self) -> RulingCache | None:
@@ -313,15 +297,12 @@ class ComplianceEngine:
         """The persistence backend, or ``None`` for an ephemeral engine."""
         return self._ledger
 
-    def prime_from_ledger(self, limit: int | None = None) -> int:
+    def prime_from_ledger(self) -> int:
         """Warm the ruling cache from the attached ledger.
 
         Streams persisted rulings into the cache (most callers do this
         once at startup, before the first evaluation) so previously
         ruled actions become pure lookups in this process too.
-
-        Args:
-            limit: Optional cap on rulings loaded.
 
         Returns:
             The number of rulings loaded into the cache.
@@ -335,7 +316,7 @@ class ComplianceEngine:
         if self._cache is None:
             raise ValueError("prime_from_ledger requires a cache to warm")
         loaded = 0
-        for fingerprint, ruling in self._ledger.iter_rulings(limit=limit):
+        for fingerprint, ruling in self._ledger.iter_rulings():
             self._cache.put(fingerprint, ruling)
             loaded += 1
         if OBS.enabled:
@@ -479,13 +460,8 @@ class ComplianceEngine:
         the full rule pipeline runs.  Both give the identical ruling.
         """
         if fingerprint is None:
-            ruling = self._run_pipeline(action)
-        else:
-            ruling = self._evaluate_memoized(action, fingerprint)
-        # Engines with different registries share the tables, so every
-        # evaluation checks against this engine's registry, hit or miss.
-        self._check_citations(ruling.steps)
-        return ruling
+            return self._run_pipeline(action)
+        return self._evaluate_memoized(action, fingerprint)
 
     def _run_pipeline(self, action: InvestigativeAction) -> Ruling:
         """Every rule stage, run on the action itself."""
@@ -509,25 +485,13 @@ class ComplianceEngine:
         self, action: InvestigativeAction, fingerprint: tuple
     ) -> Ruling:
         """The pipeline as seven memo lookups and one combination lookup."""
-        privacy = _PRIVACY.get(fingerprint) or _PRIVACY.fill(
-            fingerprint, self, action
-        )
-        fourth = _FOURTH_AMENDMENT.get(
-            fingerprint, privacy
-        ) or _FOURTH_AMENDMENT.fill(fingerprint, self, action, privacy)
-        wire = _WIRETAP.get(fingerprint) or _WIRETAP.fill(
-            fingerprint, self, action
-        )
-        stored = _SCA.get(fingerprint) or _SCA.fill(fingerprint, self, action)
-        pen = _PENTRAP.get(fingerprint) or _PENTRAP.fill(
-            fingerprint, self, action
-        )
-        cross = _EXCEPTIONS.get(fingerprint) or _EXCEPTIONS.fill(
-            fingerprint, self, action
-        )
-        statutory = _STATUTORY_EXCEPTIONS.get(
-            fingerprint
-        ) or _STATUTORY_EXCEPTIONS.fill(fingerprint, self, action)
+        privacy = _PRIVACY.entry(fingerprint, self, action)
+        fourth = _FOURTH_AMENDMENT.entry(fingerprint, self, action, privacy)
+        wire = _WIRETAP.entry(fingerprint, self, action)
+        stored = _SCA.entry(fingerprint, self, action)
+        pen = _PENTRAP.entry(fingerprint, self, action)
+        cross = _EXCEPTIONS.entry(fingerprint, self, action)
+        statutory = _STATUTORY_EXCEPTIONS.entry(fingerprint, self, action)
         key = (
             privacy[1], fourth[1], wire[1], stored[1], pen[1], cross[1],
             statutory[1],
@@ -542,7 +506,7 @@ class ComplianceEngine:
             ruling = self._intern_ruling(
                 privacy[0], requirements, [*cross[0], *statutory[0]]
             )
-            _bounded_put(_COMBINED, key, ruling)
+            bounded_put(_COMBINED, key, ruling)
         return ruling
 
     def _intern_ruling(
@@ -558,7 +522,7 @@ class ComplianceEngine:
         ruling = _RULINGS.get(key)
         if ruling is None:
             ruling = self._combine(privacy, requirements, exceptions)
-            _bounded_put(_RULINGS, key, ruling)
+            bounded_put(_RULINGS, key, ruling)
         return ruling
 
     def _combine(
@@ -567,7 +531,12 @@ class ComplianceEngine:
         requirements: list[Requirement],
         exceptions: list[AppliedException],
     ) -> Ruling:
-        """The surviving maximum requirement plus the flattened trace."""
+        """The surviving maximum requirement plus the flattened trace.
+
+        Every ruling is built here, so this is where its citations are
+        checked: a ruling citing an authority :data:`AUTHORITIES` lacks
+        raises ``KeyError`` before any table holds it.
+        """
         eliminated: frozenset[LegalSource] = frozenset()
         for exception in exceptions:
             eliminated = eliminated | exception.eliminates
@@ -577,12 +546,14 @@ class ComplianceEngine:
             (r.process for r in surviving), default=ProcessKind.NONE
         )
 
+        steps = self._flatten_steps(privacy.steps, requirements, exceptions)
+        self._check_citations(steps)
         return Ruling(
             required_process=required_process,
             requirements=tuple(requirements),
             exceptions=tuple(exceptions),
             privacy=privacy,
-            steps=self._flatten_steps(privacy.steps, requirements, exceptions),
+            steps=steps,
         )
 
     def _statutory_exceptions(
@@ -596,24 +567,16 @@ class ComplianceEngine:
         Pen/Trap statute stayed silent.
         """
         recorded: list[AppliedException] = []
-        if wiretap.applies(action):
-            found = wiretap.statutory_exception(action)
-            if found is not None:
-                kind, step = found
-                recorded.append(
-                    AppliedException(
-                        kind=kind, eliminates=frozenset(), step=step
+        for statute in (wiretap, pentrap):
+            if statute.applies(action):
+                found = statute.statutory_exception(action)
+                if found is not None:
+                    kind, step = found
+                    recorded.append(
+                        AppliedException(
+                            kind=kind, eliminates=frozenset(), step=step
+                        )
                     )
-                )
-        if pentrap.applies(action):
-            found = pentrap.statutory_exception(action)
-            if found is not None:
-                kind, step = found
-                recorded.append(
-                    AppliedException(
-                        kind=kind, eliminates=frozenset(), step=step
-                    )
-                )
         return recorded
 
     @staticmethod
@@ -636,11 +599,12 @@ class ComplianceEngine:
                 unique.append(step)
         return tuple(unique)
 
-    def _check_citations(self, steps: tuple[ReasoningStep, ...]) -> None:
-        """Every citation a rule emits must exist in the registry."""
+    @staticmethod
+    def _check_citations(steps: tuple[ReasoningStep, ...]) -> None:
+        """Every citation a rule emits must exist in :data:`AUTHORITIES`."""
         for step in steps:
             for key in step.authorities:
-                if key not in self._registry:
+                if key not in AUTHORITIES:
                     raise KeyError(
                         f"reasoning step cites unknown authority {key!r}: "
                         f"{step.text}"

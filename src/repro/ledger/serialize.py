@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from typing import TYPE_CHECKING
 
-from repro.core import engine
+from repro.core.cache import bounded_put
 from repro.core.enums import ExceptionKind, LegalSource, ProcessKind
 from repro.core.fingerprint import ActionFingerprint
 from repro.core.ruling import (
@@ -161,20 +161,17 @@ class _Texts:
         self.citations: tuple[str, ...] | None = None
 
 
-# Derived texts per ruling object, keyed by id().  The cap is the
-# engine's intern cap and a full memo is cleared wholesale.  Every text
-# is always derived from the object, never taken from a stored row, so a
-# non-canonical row still encodes canonically once decoded.
+# Derived texts per ruling object, keyed by id() and filled through
+# bounded_put.  Every text is always derived from the object, never
+# taken from a stored row, so a non-canonical row still encodes
+# canonically once decoded.
 _TEXTS: dict[int, _Texts] = {}
 
 
 def _texts(ruling: Ruling) -> _Texts:
-    entry = _TEXTS.get(id(ruling))
-    if entry is None:
-        if len(_TEXTS) >= engine.RULING_INTERN_MAX:
-            _TEXTS.clear()
-        entry = _TEXTS[id(ruling)] = _Texts(ruling)
-    return entry
+    return _TEXTS.get(id(ruling)) or bounded_put(
+        _TEXTS, id(ruling), _Texts(ruling)
+    )
 
 
 def ruling_to_json(ruling: Ruling) -> str:

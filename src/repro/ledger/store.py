@@ -32,7 +32,7 @@ import sqlite3
 from collections.abc import Iterator
 from pathlib import Path
 
-from repro.core import engine
+from repro.core.cache import bounded_put
 from repro.core.fingerprint import ActionFingerprint, fingerprint_digest
 from repro.core.ruling import Ruling
 from repro.court.docket import Docket, IssuedProcess
@@ -152,7 +152,7 @@ class Ledger:
         # ruling_texts id per canonical text recorded through this handle,
         # keyed by the text's UTF-8 bytes: the same object the wire
         # response joins, so a ledgered server holds each text once.
-        # Capped like the engine's intern table; cleared on rollback().
+        # Filled through bounded_put; cleared on rollback().
         self._text_ids: dict[bytes, int] = {}
         # Cursors of iter_rulings streams not yet read to the end.
         self._streams: set[sqlite3.Cursor] = set()
@@ -308,10 +308,7 @@ class Ledger:
             text_id = db.execute(
                 "SELECT id FROM ruling_texts WHERE ruling_json = ?", (text,)
             ).fetchone()[0]
-        if len(self._text_ids) >= engine.RULING_INTERN_MAX:
-            self._text_ids.clear()
-        self._text_ids[data] = text_id
-        return text_id
+        return bounded_put(self._text_ids, data, text_id)
 
     def ruling_for(
         self, fingerprint: ActionFingerprint
@@ -332,9 +329,7 @@ class Ledger:
         self.stats.ruling_reads += 1
         return ruling_from_json(row["ruling_json"])
 
-    def iter_rulings(
-        self, limit: int | None = None
-    ) -> Iterator[tuple[ActionFingerprint, Ruling]]:
+    def iter_rulings(self) -> Iterator[tuple[ActionFingerprint, Ruling]]:
         """Stream ``(fingerprint, ruling)`` pairs for cache priming.
 
         Ordered by fingerprint digest, so iteration order is a pure
@@ -344,14 +339,11 @@ class Ledger:
         text is read and decoded only the first time its id appears, and
         its rows share that one decoded ruling.
         """
-        sql = (
+        db = self._db
+        rows = db.execute(
             "SELECT fingerprint_json, ruling_text_id FROM rulings "
             "ORDER BY fingerprint_digest"
         )
-        if limit is not None:
-            sql += f" LIMIT {int(limit)}"
-        db = self._db
-        rows = db.execute(sql)
         texts = db.cursor()
         self._streams.update((rows, texts))
         try:

@@ -31,11 +31,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
-from collections.abc import Callable
 from operator import itemgetter
 from typing import Any
 
 from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
+from repro.core.cache import bounded_put
 from repro.core.context import EnvironmentContext
 from repro.core.enums import (
     Actor,
@@ -131,16 +131,13 @@ _PLACES = dict(Place.__members__)
 _PROVIDER_ROLES = dict(ProviderRole.__members__)
 _CONSENT_SCOPES = dict(ConsentScope.__members__)
 
-#: Cap on each intern table below (entries).  A full table is cleared
-#: wholesale and refilled, like the engine's ruling intern table, so
-#: hostile traffic with endlessly new parts cannot grow memory.
-INTERN_MAX = 4096
-
 # One frozen part per distinct tuple of raw, type-checked field values
 # (enums by name).  Parts repeat heavily across traffic (36k distinct
 # actions hold ~1,400 distinct contexts) while descriptions usually do
 # not, so sharing the parts saves most of the construction work without
-# holding every distinct action alive.
+# holding every distinct action alive.  Each table is filled through
+# bounded_put, so hostile traffic with endlessly new parts cannot grow
+# memory.
 _CONTEXTS: dict[tuple, EnvironmentContext] = {}
 _CONSENTS: dict[tuple, ConsentFacts] = {}
 _DOCTRINES: dict[tuple, DoctrineFacts] = {}
@@ -258,14 +255,6 @@ def _doctrine(values: tuple) -> DoctrineFacts:
     return DoctrineFacts(*values)
 
 
-def _intern(table: dict, key: tuple, build: Callable[[tuple], Any]) -> Any:
-    """Build and store the part for a key its table does not hold."""
-    if len(table) >= INTERN_MAX:
-        table.clear()
-    part = table[key] = build(key)
-    return part
-
-
 def action_from_dict(payload: dict) -> InvestigativeAction:
     """Rebuild an action that compares equal to (and fingerprints
     identically to) the encoded one.
@@ -296,10 +285,12 @@ def action_from_dict(payload: dict) -> InvestigativeAction:
             _ACTORS[head[1]],
             _DATA_KINDS[head[2]],
             _TIMINGS[head[3]],
-            _CONTEXTS.get(context) or _intern(_CONTEXTS, context, _context),
-            _CONSENTS.get(consent) or _intern(_CONSENTS, consent, _consent),
+            _CONTEXTS.get(context)
+            or bounded_put(_CONTEXTS, context, _context(context)),
+            _CONSENTS.get(consent)
+            or bounded_put(_CONSENTS, consent, _consent(consent)),
             _DOCTRINES.get(doctrine)
-            or _intern(_DOCTRINES, doctrine, _doctrine),
+            or bounded_put(_DOCTRINES, doctrine, _doctrine(doctrine)),
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed action: {exc}") from exc

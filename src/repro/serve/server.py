@@ -20,8 +20,9 @@ One event loop, two listeners:
   hot path has no locks; partitioning *is* the synchronization.
 * **A metrics listener** answers HTTP ``GET /metrics`` with the
   :mod:`repro.obs` registry's Prometheus text exposition (per-shard
-  cache and action counters bound as callback gauges, ruling and
-  round-trip latency histograms) and ``GET /healthz`` for liveness.
+  cache and action counters and, with a ledger, its write, duplicate
+  and primed counts bound as callback gauges; ruling and round-trip
+  latency histograms) and ``GET /healthz`` for liveness.
 
 Backpressure comes from TCP: a connection has at most one request being
 ruled, and a client that sends without reading blocks the handler's
@@ -48,7 +49,7 @@ from repro.ledger.serialize import (
     ruling_to_utf8,
 )
 from repro.ledger.store import Ledger
-from repro.obs import OBS, bind_ruling_cache, clock
+from repro.obs import OBS, bind_ledger, bind_ruling_cache, clock
 from repro.serve.protocol import (
     MAX_BATCH_ACTIONS,
     MAX_LINE_BYTES,
@@ -209,6 +210,8 @@ class RulingServer:
                 "table's, as rule=\"combine\").",
                 {"rule": rule},
             )
+        if self._ledger is not None:
+            bind_ledger(self._ledger.stats, name="serve")
         for shard in self.router.shards:
             bind_ruling_cache(shard.cache.stats, name=f"shard{shard.index}")
             registry.gauge_fn(

@@ -8,13 +8,12 @@ exactly one shard, and each shard owns a **private**
 write the same cache, so there is nothing to contend on — a shard can
 rule its whole sub-batch without synchronizing with anyone.
 
-What *is* shared is deliberately read-only or serialized elsewhere: the
-:class:`~repro.core.caselaw.AuthorityRegistry` (immutable after build,
-constructed once instead of N times) and, optionally, one ledger handle
-(all shard engines record fresh rulings through it; the asyncio server
-runs every shard on one thread, so ledger writes are naturally
-serialized and deduplicated by the ledger's fingerprint conflict
-clause).
+What *is* shared is deliberately serialized elsewhere: optionally, one
+ledger handle (all shard engines record fresh rulings through it; the
+asyncio server runs every shard on one thread, so ledger writes are
+naturally serialized and deduplicated by the ledger's fingerprint
+conflict clause).  The engine's intern and memo tables are
+process-wide, so shards share rulings, but no shard's cache.
 
 Routing uses the built-in ``hash`` of the fingerprint tuple — a few
 hundred nanoseconds, stable within a process, which is the only scope a
@@ -30,7 +29,6 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.core.cache import DEFAULT_CACHE_SIZE, RulingCache
-from repro.core.caselaw import AuthorityRegistry, build_default_registry
 from repro.core.engine import ComplianceEngine, RulingLedger
 from repro.core.fingerprint import action_fingerprint
 
@@ -47,15 +45,12 @@ class Shard:
     def __init__(
         self,
         index: int,
-        registry: AuthorityRegistry,
         cache_size: int,
         ledger: RulingLedger | None,
     ) -> None:
         self.index = index
         self.cache = RulingCache(maxsize=cache_size)
-        self.engine = ComplianceEngine(
-            registry=registry, cache=self.cache, ledger=ledger
-        )
+        self.engine = ComplianceEngine(cache=self.cache, ledger=ledger)
         self.actions_ruled = 0
         self.batches = 0
 
@@ -77,9 +72,6 @@ class ShardRouter:
             ``n_shards * cache_size``).
         ledger: Optional shared persistence backend; every shard's fresh
             rulings are recorded through it.
-
-    The default authority registry is built once and shared (read-only)
-    by all shards as ``router.registry``.
     """
 
     def __init__(
@@ -92,9 +84,8 @@ class ShardRouter:
             raise ValueError(f"n_shards must be >= 1: {n_shards}")
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1: {cache_size}")
-        self.registry = build_default_registry()
         self.shards = tuple(
-            Shard(index, self.registry, cache_size, ledger)
+            Shard(index, cache_size, ledger)
             for index in range(n_shards)
         )
 
@@ -138,9 +129,7 @@ class ShardRouter:
                 rulings[position] = ruling
         return rulings  # type: ignore[return-value]
 
-    def prime_from_ledger(
-        self, ledger: RulingLedger, limit: int | None = None
-    ) -> int:
+    def prime_from_ledger(self, ledger: RulingLedger) -> int:
         """Warm every shard's cache from persisted rulings.
 
         Each persisted ruling is routed to the shard that would own its
@@ -151,7 +140,7 @@ class ShardRouter:
             The number of rulings loaded.
         """
         loaded = 0
-        for fingerprint, ruling in ledger.iter_rulings(limit=limit):
+        for fingerprint, ruling in ledger.iter_rulings():
             self.shards[self.shard_for(fingerprint)].cache.put(
                 fingerprint, ruling
             )

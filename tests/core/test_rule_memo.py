@@ -16,6 +16,7 @@ import itertools
 import pytest
 
 from repro.core import ComplianceEngine, RulingCache
+from repro.core import cache as cache_module
 from repro.core import engine as engine_module
 from repro.core import exceptions, privacy
 from repro.core.action import InvestigativeAction
@@ -221,10 +222,7 @@ def test_a_row_refuses_unknown_fields_and_a_guard_without_its_test():
         RuleRow("unguarded", reads=("place",), guard=("timing",))
 
 
-def test_guard_first_keys_keep_the_statute_memos_small():
-    engine_module._COMBINED.clear()
-    for memo in engine_module.RULE_MEMOS:
-        memo.clear()
+def test_guard_first_keys_keep_the_statute_memos_small(empty_tables):
     actions = action_corpus(20_000, seed=5)
     cached = ComplianceEngine(cache=RulingCache(maxsize=len(actions)))
     plain = ComplianceEngine()
@@ -242,5 +240,5 @@ def test_guard_first_keys_keep_the_statute_memos_small():
             rows = len({full(fp) for fp in fingerprints})
             assert 0 < sizes[memo.row.name] < rows / 4, (memo.row.name, rows)
     assert all(
-        size <= engine_module.RULING_INTERN_MAX for size in sizes.values()
+        size <= cache_module.INTERN_MAX for size in sizes.values()
     )

@@ -2,10 +2,9 @@
 
 Equal rule outputs must come back as the identical object from every
 engine, and sharing must never change a byte: each interned ruling
-encodes exactly as a ruling built without the table would.  The table
-is shared by engines with different registries and by the ledger
-primer's consumers, so a hit must still run this engine's citation
-check, and a ruling decoded from a (possibly tampered) ledger row must
+encodes exactly as a ruling built without the table would.  Every
+ruling's citations are checked when it is built, before any table holds
+it, and a ruling decoded from a (possibly tampered) ledger row must
 never stand in for a fresh evaluation.
 """
 
@@ -17,6 +16,7 @@ import threading
 import pytest
 
 from repro.core import ComplianceEngine, RulingCache, build_default_registry
+from repro.core import cache as cache_module
 from repro.core import engine as engine_module
 from repro.core.caselaw import AuthorityRegistry
 from repro.core.fingerprint import action_fingerprint
@@ -35,20 +35,6 @@ class _NeverStores(dict):
 
     def __setitem__(self, key, value):
         pass
-
-
-@pytest.fixture
-def empty_tables(monkeypatch):
-    """Start from empty intern, memo and text tables.
-
-    The intern and text tables are restored afterwards; the stage memos
-    are left empty (they refill, and every entry is sound on its own).
-    """
-    monkeypatch.setattr(engine_module, "_RULINGS", {})
-    monkeypatch.setattr(engine_module, "_COMBINED", {})
-    monkeypatch.setattr(serialize, "_TEXTS", {})
-    for memo in engine_module.RULE_MEMOS:
-        memo.clear()
 
 
 @pytest.fixture(scope="module")
@@ -106,17 +92,28 @@ def test_interned_texts_match_rulings_built_without_the_table(
     assert [serialize.ruling_to_json(r) for r in rulings] == reference
 
 
-def test_a_hit_still_checks_this_engines_registry(empty_tables):
+@pytest.mark.parametrize("cache", [None, 1], ids=["uncached", "cached"])
+def test_an_unknown_citation_fails_when_the_ruling_is_built(
+    empty_tables, monkeypatch, cache
+):
     action = action_corpus(1, seed=GOLDEN_SEED)[0]
-    ruling = ComplianceEngine().evaluate(action)
+    with monkeypatch.context() as patch:
+        patch.setattr(engine_module, "_RULINGS", _NeverStores())
+        ruling = ComplianceEngine().evaluate(action)
     cited = next(key for step in ruling.steps for key in step.authorities)
     registry = AuthorityRegistry()
     for authority in build_default_registry():
         if authority.key != cited:
             registry.add(authority)
-    assert engine_module.interned_rulings() == 1
+    monkeypatch.setattr(engine_module, "AUTHORITIES", registry)
+    engine = ComplianceEngine(cache=cache)
+    assert cited not in engine.registry
     with pytest.raises(KeyError, match=cited):
-        ComplianceEngine(registry=registry).evaluate(action)
+        engine.evaluate(action)
+    assert engine_module.interned_rulings() == 0
+    assert not engine_module._COMBINED
+    if cache is not None:
+        assert len(engine.cache) == 0
 
 
 def test_a_tampered_primed_row_never_reaches_a_fresh_engine(
@@ -171,7 +168,7 @@ def test_a_small_cap_bounds_both_tables_and_keeps_every_byte(
     empty_tables, golden_corpus, monkeypatch
 ):
     reference = _reference_texts(golden_corpus, monkeypatch)
-    monkeypatch.setattr(engine_module, "RULING_INTERN_MAX", 8)
+    monkeypatch.setattr(cache_module, "INTERN_MAX", 8)
     # No cache runs the whole pipeline every time; a one-entry cache
     # sends nearly every action down the memoized miss path.
     for cache in (None, 1):
@@ -195,7 +192,7 @@ def test_threads_sharing_a_tiny_table_keep_every_byte(
     """
     sample = golden_corpus[:1500]
     reference = _reference_texts(sample, monkeypatch)
-    monkeypatch.setattr(engine_module, "RULING_INTERN_MAX", 8)
+    monkeypatch.setattr(cache_module, "INTERN_MAX", 8)
     results: dict[int, list[str]] = {}
 
     def rule(worker: int) -> None:

@@ -15,17 +15,22 @@ Regenerate after an intentional rule change::
 
 import hashlib
 import json
+import signal
+import tempfile
 from pathlib import Path
 
 import pytest
 
 from repro.core import ComplianceEngine, RulingCache, build_table1
 from repro.core.enums import ProcessKind
+from repro.core.fingerprint import action_fingerprint
+from repro.ledger import Ledger
 from repro.ledger.serialize import canonical_json, ruling_to_json
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
 from repro.serve.server import ServerConfig
 from repro.workloads import paper_corpus
+from server_process import ServerProcess
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_paper_corpus.json"
 
@@ -55,7 +60,61 @@ def _rule_served(actions) -> list[str]:
     return [canonical_json(ruling) for ruling in response["rulings"]]
 
 
-MODES = {"evaluate": _rule_plain, "cached": _rule_cached, "served": _rule_served}
+def _record(actions, path: Path) -> int:
+    """Rule through a cached engine into a file ledger, then close it.
+
+    Returns:
+        The number of distinct fingerprints recorded.
+    """
+    with Ledger(path) as ledger:
+        ComplianceEngine(cache=RulingCache(), ledger=ledger).evaluate_many(
+            actions
+        )
+        assert ledger.counts()["rulings"] == len(
+            {action_fingerprint(a) for a in actions}
+        )
+        return ledger.counts()["rulings"]
+
+
+def _rule_ledgered(actions) -> list[str]:
+    """Recorded, reopened, primed into a fresh engine and ruled again:
+    every ruling is one decoded from the ledger."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "corpus.db"
+        recorded = _record(actions, path)
+        with Ledger(path) as ledger:
+            engine = ComplianceEngine(cache=RulingCache(), ledger=ledger)
+            assert engine.prime_from_ledger() == recorded
+            rulings = engine.evaluate_many(actions)
+    assert engine.cache_stats.misses == 0
+    return [ruling_to_json(r) for r in rulings]
+
+
+def _rule_spawned(actions) -> list[str]:
+    """A real ``repro serve --ledger ... --prime`` process over a
+    recorded ledger, answering every action from a primed cache."""
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "corpus.db"
+        recorded = _record(actions, path)
+        stderr = Path(scratch) / "server.stderr"
+        with ServerProcess(path, stderr, "--prime") as server:
+            with server.client() as client:
+                response = client.rule(actions, request_id=1)
+                stats = client.stats()["stats"]
+            assert server.end(signal.SIGTERM) == 0
+    assert response["ok"] is True
+    assert stats["primed_rulings"] == recorded
+    assert stats["cache_misses"] == 0
+    return [canonical_json(ruling) for ruling in response["rulings"]]
+
+
+MODES = {
+    "evaluate": _rule_plain,
+    "cached": _rule_cached,
+    "served": _rule_served,
+    "ledger": _rule_ledgered,
+    "spawned": _rule_spawned,
+}
 
 
 def compute_golden() -> dict:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ComplianceEngine
+from repro.core import cache as cache_module
 from repro.core import engine as engine_module
 from repro.core.fingerprint import action_fingerprint
 from repro.ledger import Ledger, serialize
@@ -84,15 +85,6 @@ def _ledger_rows(actions, cap_monitor=None):
     return rulings, citations
 
 
-@pytest.fixture
-def empty_tables(monkeypatch):
-    monkeypatch.setattr(engine_module, "_RULINGS", {})
-    monkeypatch.setattr(engine_module, "_COMBINED", {})
-    monkeypatch.setattr(serialize, "_TEXTS", {})
-    for memo in engine_module.RULE_MEMOS:
-        memo.clear()
-
-
 def test_a_small_cap_bounds_the_memos_and_keeps_every_row(
     empty_tables, monkeypatch
 ):
@@ -100,7 +92,7 @@ def test_a_small_cap_bounds_the_memos_and_keeps_every_row(
     reference = _ledger_rows(actions)
     monkeypatch.setattr(serialize, "_TEXTS", {})
     monkeypatch.setattr(engine_module, "_RULINGS", {})
-    monkeypatch.setattr(engine_module, "RULING_INTERN_MAX", 8)
+    monkeypatch.setattr(cache_module, "INTERN_MAX", 8)
     largest = 0
 
     def monitor(ruling):

@@ -78,10 +78,6 @@ class TestWarmPrimedVsFresh:
         assert primed.cache_stats.hits == CORPUS_SIZE
         assert primed.cache_stats.misses == 0
 
-    def test_prime_respects_limit(self, ledger):
-        primed = ComplianceEngine(cache=RulingCache(), ledger=ledger)
-        assert primed.prime_from_ledger(limit=5) == 5
-
     def test_prime_without_ledger_or_cache_raises(self):
         with pytest.raises(ValueError):
             ComplianceEngine(cache=RulingCache()).prime_from_ledger()

@@ -20,67 +20,16 @@ import sqlite3
 import subprocess
 import sys
 
-import repro
 from repro.core.fingerprint import action_fingerprint
 from repro.ledger.serialize import ruling_to_json
 from repro.ledger.store import Ledger
-from repro.serve.client import ServeClient
 from repro.workloads import action_corpus
-
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+from server_process import ServerProcess, child_env
 
 #: Corpus seed shared with ``repro ledger prime --verify``'s default, so
 #: the verify pass re-rules actions the killed server recorded.
 SEED = 7
 BATCH = 16
-
-
-def _env() -> dict:
-    return dict(os.environ, PYTHONPATH=SRC, PYTHONUNBUFFERED="1")
-
-
-class _Server:
-    """One ``repro serve --ledger`` child on ephemeral ports."""
-
-    def __init__(self, ledger_path, stderr_path) -> None:
-        with open(stderr_path, "wb") as stderr:
-            self.process = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro", "serve",
-                    "--port", "0", "--metrics-port", "0",
-                    "--ledger", str(ledger_path),
-                ],
-                stdout=subprocess.PIPE,
-                stderr=stderr,
-                stdin=subprocess.DEVNULL,
-                env=_env(),
-            )
-        banner = self.process.stdout.readline().decode()
-        if "NDJSON on" not in banner:
-            self.process.kill()
-            self.process.wait(timeout=30)
-            raise RuntimeError(
-                f"server did not start: {banner!r} "
-                f"{stderr_path.read_text()!r}"
-            )
-        host, _, port = banner.rsplit(" ", 1)[1].strip().rpartition(":")
-        self.address = (host, int(port))
-
-    def __enter__(self) -> "_Server":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        if self.process.poll() is None:  # a test failed before ending it
-            self.process.kill()
-            self.process.wait(timeout=30)
-        self.process.stdout.close()
-
-    def client(self) -> ServeClient:
-        return ServeClient(*self.address)
-
-    def end(self, signum: int) -> int:
-        self.process.send_signal(signum)
-        return self.process.wait(timeout=30)
 
 
 def _batches(n_requests: int) -> list:
@@ -105,7 +54,7 @@ def _answered(client, batches, request_ids) -> dict:
 def test_sigkill_mid_pipeline_keeps_every_answered_ruling(tmp_path):
     ledger_path = tmp_path / "killed.db"
     batches = _batches(60)
-    with _Server(ledger_path, tmp_path / "server.stderr") as server:
+    with ServerProcess(ledger_path, tmp_path / "server.stderr") as server:
         with server.client() as client:
             served = {}
             for request_id in range(20):
@@ -131,7 +80,7 @@ def test_sigkill_mid_pipeline_keeps_every_answered_ruling(tmp_path):
             "--seed", str(SEED),
         ],
         capture_output=True,
-        env=_env(),
+        env=child_env(),
         timeout=300,
     )
     assert verify.returncode == 0, verify.stdout + verify.stderr
@@ -141,7 +90,7 @@ def test_sigkill_mid_pipeline_keeps_every_answered_ruling(tmp_path):
 def test_sigterm_leaves_one_self_contained_file(tmp_path):
     ledger_path = tmp_path / "stopped.db"
     batches = _batches(12)
-    with _Server(ledger_path, tmp_path / "server.stderr") as server:
+    with ServerProcess(ledger_path, tmp_path / "server.stderr") as server:
         with server.client() as client:
             for request_id, batch in enumerate(batches):
                 client.send_rule(request_id, batch)

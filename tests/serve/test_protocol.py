@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
+from repro.core.cache import INTERN_MAX
 from repro.core.context import EnvironmentContext
 from repro.core.enums import (
     Actor,
@@ -325,7 +326,7 @@ class TestActionCodecProperties:
         )
         seen = set()
         for place, serves_public, role, *bits in itertools.islice(
-            variants, protocol.INTERN_MAX + 100
+            variants, INTERN_MAX + 100
         ):
             context.update(zip(flags, bits))
             context["place"] = place
@@ -334,13 +335,13 @@ class TestActionCodecProperties:
             rebuilt = action_from_dict(payload)
             assert rebuilt == _reference(payload)
             seen.add(rebuilt.context)
-        assert len(seen) > protocol.INTERN_MAX
+        assert len(seen) > INTERN_MAX
         for table in (
             protocol._CONTEXTS,
             protocol._CONSENTS,
             protocol._DOCTRINES,
         ):
-            assert len(table) <= protocol.INTERN_MAX
+            assert len(table) <= INTERN_MAX
 
 
 class TestFraming:

@@ -7,8 +7,8 @@ import urllib.request
 
 import pytest
 
-from repro.core.cache import RulingCache
-from repro.core.engine import RULING_INTERN_MAX, ComplianceEngine
+from repro.core.cache import INTERN_MAX, RulingCache
+from repro.core.engine import ComplianceEngine
 from repro.core.fingerprint import action_fingerprint, fingerprint_digest
 from repro.ledger.serialize import (
     canonical_json,
@@ -65,7 +65,7 @@ class TestOps:
                 ) == len(corpus)
                 # The intern table is process-wide, so other servers in
                 # this process may have filled it too.
-                assert 1 <= stats["interned_rulings"] <= RULING_INTERN_MAX
+                assert 1 <= stats["interned_rulings"] <= INTERN_MAX
                 memo = stats["rule_memo"]
                 assert set(memo) == {
                     "privacy", "fourth_amendment", "wiretap", "sca",
@@ -486,13 +486,28 @@ class TestLedgerIntegration:
             host, port = thread.address
             with ServeClient(host, port) as client:
                 client.rule(corpus)
+                client.rule(corpus[:50])
+            _status, text = _get(thread.metrics_address, "/metrics")
+        written = len(_fingerprints(corpus))
+        for marker in (
+            f'repro_ledger_ruling_writes{{ledger="serve"}} {written}',
+            'repro_ledger_ruling_duplicates{ledger="serve"} 0',
+            'repro_ledger_primed_rulings{ledger="serve"} 0',
+        ):
+            assert marker + "\n" in text, marker
 
         config = _config(ledger_path=path, prime=True)
         with ServerThread(config) as thread:
             host, port = thread.address
             with ServeClient(host, port) as client:
                 stats = client.stats()["stats"]
-                assert stats["primed_rulings"] > 0
+                assert stats["primed_rulings"] == written
+                _status, text = _get(thread.metrics_address, "/metrics")
+                assert (
+                    f'repro_ledger_primed_rulings{{ledger="serve"}} {written}\n'
+                    in text
+                )
+                assert 'repro_ledger_ruling_writes{ledger="serve"} 0\n' in text
                 response = client.rule(corpus)
                 assert [
                     canonical_json(r) for r in response["rulings"]

@@ -36,11 +36,6 @@ class TestShardIsolation:
                 held = shard.cache.get(fingerprint) is not None
                 assert held == (shard.index == owner)
 
-    def test_registry_is_shared_read_only(self):
-        router = ShardRouter(n_shards=4)
-        registries = {id(s.engine.registry) for s in router.shards}
-        assert registries == {id(router.registry)}
-
 
 class TestRouting:
     def test_routing_is_stable_within_process(self):

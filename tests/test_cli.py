@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
 from repro import bench
 from repro.cli import main
+from server_process import child_env
 
 
 class TestTable1:
@@ -186,6 +189,23 @@ class TestServe:
         assert main([*argv, "--port", "0", "--metrics-port", "0"]) == 1
         assert f"{flag} must be >= 1" in capsys.readouterr().out
         assert not ledger.exists()
+
+    def test_importing_the_cli_leaves_the_investigation_stack_out(self):
+        # Only table1, assess and the other investigation commands need
+        # numpy and the techniques; serve must start without them.
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted({'numpy', 'repro.investigation'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            env=child_env(),
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestParser:
