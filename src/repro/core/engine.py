@@ -16,12 +16,16 @@ The output :class:`~repro.core.ruling.Ruling` answers the Table 1 question
 ("does this scene need a warrant/court order/subpoena?") and carries a full
 citation-bearing reasoning trace.
 
-A cached engine's cache misses run the same stages through memos: each
-stage is looked up by the fingerprint fields its module declares
+Every fresh ruling is made in one method,
+:meth:`ComplianceEngine._evaluate_uncached`, whichever public path asked
+for it.  A cached engine runs the stages there through memos: each stage
+is looked up by the fingerprint fields its module declares
 (:class:`~repro.core.fingerprint.RuleRow`), and the combined ruling by
 the seven stage outputs' serial numbers.  An uncached engine always runs
 the stages themselves, which is what the cached-vs-fresh differential
-compares the memos against.
+compares the memos against.  With a ledger attached, the same method
+records the ruling before returning it, so no cache holds a fresh
+ruling before its row is written.
 
 Every ruling is built in one place, :meth:`ComplianceEngine._combine`,
 and every citation in its trace is checked there against
@@ -31,6 +35,7 @@ and every citation in its trace is checked there against
 from __future__ import annotations
 
 import itertools
+import sys
 from collections.abc import Callable, Iterable, Iterator
 from typing import Protocol, runtime_checkable
 
@@ -262,7 +267,9 @@ class ComplianceEngine:
         ledger: Optional persistence backend (anything satisfying
             :class:`RulingLedger`, e.g. :class:`repro.ledger.Ledger`).
             Every *fresh* evaluation — never a cache hit, which by the
-            differential gate is byte-identical anyway — is recorded, and
+            differential gate is byte-identical anyway — is recorded
+            before any cache holds it, on every path, so a ruling whose
+            write fails is not cached and a retry records it.
             :meth:`prime_from_ledger` warm-loads the cache at startup.
     """
 
@@ -326,38 +333,6 @@ class ComplianceEngine:
             ).inc(loaded)
         return loaded
 
-    def _recording_evaluator(
-        self,
-    ) -> Callable[[InvestigativeAction, tuple], Ruling]:
-        """The cache-miss callable, ledger recording included.
-
-        It takes the action and the fingerprint the cache already
-        computed, and rules through the stage memos.
-        """
-        if self._ledger is None:
-            return self._evaluate_uncached
-        evaluate_uncached = self._evaluate_uncached
-        record = self._record_to_ledger
-
-        def evaluate_and_record(
-            action: InvestigativeAction, fingerprint: tuple
-        ) -> Ruling:
-            ruling = evaluate_uncached(action, fingerprint)
-            record(fingerprint, ruling)
-            return ruling
-
-        return evaluate_and_record
-
-    def _record_to_ledger(self, fingerprint: tuple, ruling: Ruling) -> None:
-        """Persist one fresh ruling, counting the write when traced."""
-        assert self._ledger is not None
-        self._ledger.record_ruling(fingerprint, ruling)
-        if OBS.enabled:
-            OBS.registry.counter(
-                "repro_ledger_ruling_writes_total",
-                "Fresh rulings recorded to a ledger by the engine.",
-            ).inc()
-
     def evaluate(self, action: InvestigativeAction) -> Ruling:
         """Produce a :class:`Ruling` for one investigative action.
 
@@ -386,18 +361,13 @@ class ComplianceEngine:
 
     def _evaluate_impl(self, action: InvestigativeAction) -> Ruling:
         """The cache-consulting single-action path, telemetry-free."""
-        if self._cache is None:
-            ruling = self._evaluate_uncached(action)
-            if self._ledger is not None:
-                self._record_to_ledger(action_fingerprint(action), ruling)
-            return ruling
         fingerprint = action_fingerprint(action)
+        if self._cache is None:
+            return self._evaluate_uncached(action, fingerprint)
         ruling = self._cache.get(fingerprint)
         if ruling is None:
             ruling = self._evaluate_uncached(action, fingerprint)
             self._cache.put(fingerprint, ruling)
-            if self._ledger is not None:
-                self._record_to_ledger(fingerprint, ruling)
         return ruling
 
     def evaluate_many(
@@ -405,14 +375,13 @@ class ComplianceEngine:
     ) -> list[Ruling]:
         """Rule on a batch of actions, deduplicating by fingerprint.
 
-        Equal-fingerprint actions are evaluated once per batch even on an
-        uncached engine (a transient per-call memo); a cached engine also
-        consults and feeds its persistent LRU cache through the trimmed
-        :meth:`~repro.core.cache.RulingCache.get_or_compute` batch path,
-        so repeated batches approach pure lookup speed and even a cold
-        batch stays at least as fast as the uncached loop.  Output order
-        matches input order, ruling-for-ruling identical to calling
-        :meth:`evaluate` in a loop.
+        Both kinds of engine go through the one batch primitive,
+        :meth:`~repro.core.cache.RulingCache.get_or_compute`: an uncached
+        engine through a throwaway cache per call, so equal-fingerprint
+        actions are still evaluated once per batch; a cached engine
+        through its persistent LRU cache, so repeated batches approach
+        pure lookup speed.  Output order matches input order,
+        ruling-for-ruling identical to calling :meth:`evaluate` in a loop.
         """
         if not OBS.enabled:
             return self._evaluate_many_impl(actions)
@@ -432,36 +401,41 @@ class ComplianceEngine:
     def _evaluate_many_impl(
         self, actions: Iterable[InvestigativeAction]
     ) -> list[Ruling]:
-        """The batch path shared by both telemetry states."""
-        if self._cache is None:
-            rulings: list[Ruling] = []
-            memo: dict = {}
-            for action in actions:
-                fingerprint = action_fingerprint(action)
-                ruling = memo.get(fingerprint)
-                if ruling is None:
-                    ruling = self._evaluate_uncached(action)
-                    memo[fingerprint] = ruling
-                    if self._ledger is not None:
-                        self._record_to_ledger(fingerprint, ruling)
-                rulings.append(ruling)
-            return rulings
-        return self._cache.get_or_compute(
-            actions, action_fingerprint, self._recording_evaluator()
+        """The batch path shared by both telemetry states.
+
+        An uncached engine dedupes through a throwaway per-call cache.
+        """
+        cache = self._cache
+        if cache is None:
+            cache = RulingCache(maxsize=sys.maxsize)
+        return cache.get_or_compute(
+            actions, action_fingerprint, self._evaluate_uncached
         )
 
     def _evaluate_uncached(
-        self, action: InvestigativeAction, fingerprint: tuple | None = None
+        self, action: InvestigativeAction, fingerprint: tuple
     ) -> Ruling:
-        """One fresh evaluation, bypassing the ruling cache.
+        """One fresh ruling, recorded in the ledger before it is returned.
 
-        A cached engine's miss path passes the fingerprint it already
-        holds and rules through the stage memos; without a fingerprint
-        the full rule pipeline runs.  Both give the identical ruling.
+        This is the only place a ruling is made on a cache miss and the
+        only place one is recorded, so every caller caches a ruling only
+        after its ledger row is pending: a ruling whose write fails is not
+        cached, and a retry records it.  A cached engine rules through
+        the stage memos; an uncached engine runs the full rule pipeline.
+        Both give the identical ruling.
         """
-        if fingerprint is None:
-            return self._run_pipeline(action)
-        return self._evaluate_memoized(action, fingerprint)
+        if self._cache is None:
+            ruling = self._run_pipeline(action)
+        else:
+            ruling = self._evaluate_memoized(action, fingerprint)
+        if self._ledger is not None:
+            self._ledger.record_ruling(fingerprint, ruling)
+            if OBS.enabled:
+                OBS.registry.counter(
+                    "repro_ledger_ruling_writes_total",
+                    "Fresh rulings recorded to a ledger by the engine.",
+                ).inc()
+        return ruling
 
     def _run_pipeline(self, action: InvestigativeAction) -> Ruling:
         """Every rule stage, run on the action itself."""

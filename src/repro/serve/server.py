@@ -61,6 +61,11 @@ from repro.serve.protocol import (
 )
 from repro.serve.shard import ShardRouter
 
+#: The ops a request may name.  Any other op is counted as
+#: ``op="unknown"``: the label comes from untrusted input, and one series
+#: per distinct bogus op would grow ``/metrics`` without bound.
+OPS = ("rule", "ping", "stats")
+
 
 @dataclasses.dataclass
 class ServerConfig:
@@ -261,7 +266,7 @@ class RulingServer:
             self._errors_total.inc(reason="bad_frame")
             return _error_response(None, str(exc))
         op = message.get("op")
-        self._requests.inc(op=str(op))
+        self._requests.inc(op=op if op in OPS else "unknown")
         request_id = message.get("id")
         if op == "ping":
             return encode_line({"ok": True, "pong": True})

@@ -26,6 +26,7 @@ from repro.core.enums import ProcessKind
 from repro.core.fingerprint import action_fingerprint
 from repro.ledger import Ledger
 from repro.ledger.serialize import canonical_json, ruling_to_json
+from repro.parallel import ordered_map
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
 from repro.serve.server import ServerConfig
@@ -49,6 +50,23 @@ def _rule_cached(actions) -> list[str]:
     """Cached ``evaluate_many``: every miss runs through the stage memos."""
     engine = ComplianceEngine(cache=RulingCache())
     return [ruling_to_json(r) for r in engine.evaluate_many(actions)]
+
+
+#: Per-worker-process engine, built on the first action a worker rules
+#: and reused for every later one, as ``campaign._case_worker`` does.
+_WORKER_ENGINE: ComplianceEngine | None = None
+
+
+def _pooled_worker(action) -> str:
+    global _WORKER_ENGINE
+    if _WORKER_ENGINE is None:
+        _WORKER_ENGINE = ComplianceEngine(cache=RulingCache())
+    return ruling_to_json(_WORKER_ENGINE.evaluate(action))
+
+
+def _rule_pooled(actions) -> list[str]:
+    """Two pool workers, each on its own cached engine."""
+    return ordered_map(_pooled_worker, list(actions), 2)
 
 
 def _rule_served(actions) -> list[str]:
@@ -111,6 +129,7 @@ def _rule_spawned(actions) -> list[str]:
 MODES = {
     "evaluate": _rule_plain,
     "cached": _rule_cached,
+    "pooled": _rule_pooled,
     "served": _rule_served,
     "ledger": _rule_ledgered,
     "spawned": _rule_spawned,

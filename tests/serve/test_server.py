@@ -318,6 +318,33 @@ class TestMetricsEndpoint:
             assert status == 404
 
 
+    def test_bogus_ops_add_one_series(self):
+        # 2,000 distinct ops from untrusted input, three of them not
+        # even strings, all land in the one op="unknown" series.
+        ops = [f"bogus-{n}" for n in range(1997)] + [None, 7, ["rule"]]
+
+        def series(text):
+            return {
+                line.rsplit(" ", 1)[0]
+                for line in text.splitlines()
+                if line.startswith("repro_serve_requests_total{")
+            }
+
+        with ServerThread(_config()) as thread:
+            with ServeClient(*thread.address) as client:
+                assert client.ping()["ok"] is True
+                _status, before = _get(thread.metrics_address, "/metrics")
+                for n, op in enumerate(ops):
+                    client.send_line({"op": op, "id": n})
+                    assert client.read_response()["ok"] is False
+                _status, after = _get(thread.metrics_address, "/metrics")
+        unknown = 'repro_serve_requests_total{op="unknown"}'
+        assert series(before) == {'repro_serve_requests_total{op="ping"}'}
+        assert series(after) - series(before) == {unknown}
+        assert f"{unknown} 2000" in after
+        assert 'repro_serve_errors_total{reason="unknown_op"} 2000' in after
+
+
 def _fail_first_call(monkeypatch, owner, name, exc, after_real_call):
     """Make ``owner.name`` raise ``exc`` once, then behave normally.
 
