@@ -71,6 +71,7 @@ from repro.investigation.campaign import (
     case_signature,
     run_campaign,
 )
+from repro.ledger.serialize import ruling_to_utf8
 from repro.netsim.engine import Simulator
 from repro.parallel import resolve_workers
 from repro.signal import offset_grid
@@ -397,15 +398,18 @@ def _render_chaos(chaos: dict) -> str:
 
 
 def _differential(run: BenchRun) -> dict:
-    """The correctness gate: cached and fresh rulings must be identical."""
+    """The correctness gate: cached and fresh rulings must be identical.
+
+    Compares each ruling's complete canonical bytes, so every field of
+    every requirement, exception and reasoning step counts.
+    """
     corpus = run.corpus
     fresh = ComplianceEngine()
     cached = ComplianceEngine(cache=RulingCache(maxsize=2 * len(corpus)))
     mismatches = 0
     for action in corpus:
-        if (
-            fresh.evaluate(action).to_dict()
-            != cached.evaluate(action).to_dict()
+        if ruling_to_utf8(fresh.evaluate(action)) != ruling_to_utf8(
+            cached.evaluate(action)
         ):
             mismatches += 1
     cached.cache_stats.reset()

@@ -263,7 +263,9 @@ class InvestigationPipeline:
         Runs at the same boundary the suppression span closes, so what
         is persisted is exactly what the hearing ruled on.  Keys are
         deterministic (`run_label`/scene/mode), making re-runs of the
-        same configuration idempotent upserts.
+        same configuration idempotent upserts.  The ruling is recorded
+        here only when the engine does not write to this ledger itself:
+        an engine sharing it has already recorded every fresh ruling.
         """
         ledger = self.ledger
         assert ledger is not None
@@ -272,7 +274,8 @@ class InvestigationPipeline:
             f"{self.run_label}/scene-{outcome.scenario.number}/{mode}"
         )
         fingerprint = outcome.scenario.action.fingerprint()
-        ledger.record_ruling(fingerprint, outcome.ruling)
+        if self.engine.ledger is not ledger:
+            ledger.record_ruling(fingerprint, outcome.ruling)
         docket = self.magistrate.docket
         docket_key = f"{self.run_label}/docket-{docket.docket_id}"
         ledger.record_docket(docket_key, docket)

@@ -33,12 +33,8 @@ from repro.ledger.schema import MIGRATIONS, SCHEMA_VERSION, schema_digest
 from repro.ledger.serialize import (
     canonical_json,
     citation_keys,
-    custody_entry_from_dict,
-    custody_entry_to_dict,
     fingerprint_from_json,
     fingerprint_to_json,
-    instrument_from_dict,
-    instrument_to_dict,
     reasoning_text,
     ruling_from_dict,
     ruling_from_json,
@@ -65,12 +61,8 @@ __all__ = [
     "canonical_json",
     "citation_histogram",
     "citation_keys",
-    "custody_entry_from_dict",
-    "custody_entry_to_dict",
     "fingerprint_from_json",
     "fingerprint_to_json",
-    "instrument_from_dict",
-    "instrument_to_dict",
     "process_histogram",
     "reasoning_text",
     "ruling_from_dict",

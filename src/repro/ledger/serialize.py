@@ -3,12 +3,19 @@
 :meth:`~repro.core.ruling.Ruling.to_dict` is a human-facing export and
 drops detail (per-requirement reasoning, exception steps, authorities);
 reloading from it could never reproduce ``explain()`` byte for byte.
-This module defines the *complete* encoding the ledger stores instead:
-every field of every frozen dataclass, enums by their stable
-``name``/``value``, rendered as compact sorted-key JSON so two equal
+This module defines the *complete* encoding the ledger stores and the
+wire carries instead: every field of every frozen dataclass, enums by
+their stable ``name``, rendered as compact sorted-key JSON so two equal
 rulings always serialize to identical bytes and a persisted ruling
 decodes to an object that compares equal to — and explains identically
 to — the one the engine produced.
+
+That encoding is not written out by hand per record type.
+:func:`codec` reads a dataclass's fields and annotations once and
+builds its encoder and decoder from them, so a field added to
+:class:`~repro.core.ruling.ReasoningStep` or
+:class:`~repro.core.action.InvestigativeAction` reaches the ledger and
+the wire with no converter to update.
 
 Fingerprints are flat tuples of primitives (``str``/``bool``/``None``;
 see :mod:`repro.core.fingerprint`), which JSON round-trips exactly, so
@@ -17,24 +24,19 @@ they are stored as a JSON array.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
+import functools
 import json
-from typing import TYPE_CHECKING
+import types
+import typing
+from collections.abc import Callable
+from operator import attrgetter, itemgetter
+from typing import Any
 
 from repro.core.cache import bounded_put
-from repro.core.enums import ExceptionKind, LegalSource, ProcessKind
 from repro.core.fingerprint import ActionFingerprint
-from repro.core.ruling import (
-    AppliedException,
-    PrivacyFinding,
-    ReasoningStep,
-    Requirement,
-    Ruling,
-)
-
-if TYPE_CHECKING:  # imported only for annotations; avoids module cycles
-    from repro.court.docket import IssuedProcess
-    from repro.evidence.custody import CustodyEntry
-
+from repro.core.ruling import Ruling
 
 #: Compact, sorted-key JSON — the ledger's canonical text form.  One
 #: shared encoder with exactly the settings ``json.dumps(payload,
@@ -58,94 +60,108 @@ def fingerprint_from_json(text: str) -> ActionFingerprint:
     return tuple(json.loads(text))
 
 
-# -- reasoning steps -------------------------------------------------------------
+# -- the record codec ------------------------------------------------------------
+
+#: One field's conversion to or from its JSON value; ``None`` when the
+#: value is already its own JSON form, so leaf fields cost no call.
+_Convert = Callable[[Any], Any] | None
 
 
-def _step_to_dict(step: ReasoningStep) -> dict:
-    return {
-        "source": step.source.name,
-        "text": step.text,
-        "authorities": list(step.authorities),
-    }
+@dataclasses.dataclass(frozen=True)
+class Codec:
+    """The canonical encoder and decoder of one dataclass."""
+
+    encode: Callable[[Any], dict[str, Any]]
+    decode: Callable[[dict[str, Any]], Any]
 
 
-def _step_from_dict(payload: dict) -> ReasoningStep:
-    return ReasoningStep(
-        source=LegalSource[payload["source"]],
-        text=payload["text"],
-        authorities=tuple(payload["authorities"]),
-    )
+def _as_tuple(getter: Callable[..., Any], names: tuple[str, ...]) -> Any:
+    """``getter(*names)``, returning a tuple for one name too."""
+    if len(names) == 1:
+        one = getter(names[0])
+        return lambda source: (one(source),)
+    return getter(*names)
 
 
-# -- rulings ---------------------------------------------------------------------
+def _field_codec(hint: Any) -> tuple[_Convert, _Convert]:
+    """The (encode, decode) conversions for one annotated field type.
+
+    Raises:
+        TypeError: For a type with no canonical JSON form.
+    """
+    if hint in (str, bool, float):  # their own JSON form
+        return None, None
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        # ``_name_`` is a plain attribute; ``.name`` runs a descriptor.
+        return attrgetter("_name_"), dict(hint.__members__).__getitem__
+    if isinstance(hint, type) and dataclasses.is_dataclass(hint):
+        plan = codec(hint)
+        return plan.encode, plan.decode
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if (origin is tuple and args[1:] == (Ellipsis,)) or origin is frozenset:
+        enc, dec = _field_codec(args[0])
+        array: Callable[[Any], list[Any]] = (
+            sorted if origin is frozenset else list
+        )
+        return (
+            array if enc is None else lambda v: array(map(enc, v)),
+            origin if dec is None else lambda v: origin(map(dec, v)),
+        )
+    if (
+        origin in (typing.Union, types.UnionType)
+        and len(args) == 2
+        and type(None) in args
+    ):
+        (inner,) = (arg for arg in args if arg is not type(None))
+        enc, dec = _field_codec(inner)
+        return (
+            None if enc is None else lambda v: None if v is None else enc(v),
+            None if dec is None else lambda v: None if v is None else dec(v),
+        )
+    raise TypeError(f"no canonical JSON form for field type {hint!r}")
 
 
-def ruling_to_dict(ruling: Ruling) -> dict:
-    """The complete JSON-serializable encoding of a ruling."""
-    return {
-        "required_process": ruling.required_process.name,
-        "requirements": [
-            {
-                "source": requirement.source.name,
-                "process": requirement.process.name,
-                "steps": [_step_to_dict(s) for s in requirement.steps],
-            }
-            for requirement in ruling.requirements
-        ],
-        "exceptions": [
-            {
-                "kind": exception.kind.name,
-                "eliminates": sorted(
-                    source.name for source in exception.eliminates
-                ),
-                "step": _step_to_dict(exception.step),
-            }
-            for exception in ruling.exceptions
-        ],
-        "privacy": {
-            "subjective_expectation": ruling.privacy.subjective_expectation,
-            "objectively_reasonable": ruling.privacy.objectively_reasonable,
-            "steps": [_step_to_dict(s) for s in ruling.privacy.steps],
-        },
-        "steps": [_step_to_dict(s) for s in ruling.steps],
-    }
+@functools.cache
+def codec(cls: type) -> Codec:
+    """The canonical codec of a dataclass, built once from its annotations.
+
+    A field may be a nested dataclass, an :class:`~enum.Enum` (encoded by
+    member name), ``tuple[X, ...]`` (an array), ``frozenset[X]`` (a
+    sorted array), ``X | None``, or a ``str``/``bool``/``float`` leaf.
+    The encoder emits every field; the decoder reads every field and
+    rebuilds an object that compares equal to the encoded one.
+
+    Raises:
+        TypeError: If any field, at any depth, has another type.
+    """
+    hints = typing.get_type_hints(cls)
+    names = tuple(field.name for field in dataclasses.fields(cls))
+    codecs = [_field_codec(hints[name]) for name in names]
+    attributes = _as_tuple(attrgetter, names)
+    items = _as_tuple(itemgetter, names)
+    encoders = [(n, e) for n, (e, _) in zip(names, codecs) if e is not None]
+    decoders = [(i, d) for i, (_, d) in enumerate(codecs) if d is not None]
+
+    def encode(record: Any) -> dict[str, Any]:
+        payload = dict(zip(names, attributes(record)))
+        for name, convert in encoders:
+            payload[name] = convert(payload[name])
+        return payload
+
+    def decode(payload: dict[str, Any]) -> Any:
+        values = list(items(payload))
+        for index, convert in decoders:
+            values[index] = convert(values[index])
+        return cls(*values)
+
+    return Codec(encode, decode)
 
 
-def ruling_from_dict(payload: dict) -> Ruling:
-    """Rebuild a :class:`Ruling` that compares equal to the original."""
-    return Ruling(
-        required_process=ProcessKind[payload["required_process"]],
-        requirements=tuple(
-            Requirement(
-                source=LegalSource[item["source"]],
-                process=ProcessKind[item["process"]],
-                steps=tuple(_step_from_dict(s) for s in item["steps"]),
-            )
-            for item in payload["requirements"]
-        ),
-        exceptions=tuple(
-            AppliedException(
-                kind=ExceptionKind[item["kind"]],
-                eliminates=frozenset(
-                    LegalSource[name] for name in item["eliminates"]
-                ),
-                step=_step_from_dict(item["step"]),
-            )
-            for item in payload["exceptions"]
-        ),
-        privacy=PrivacyFinding(
-            subjective_expectation=(
-                payload["privacy"]["subjective_expectation"]
-            ),
-            objectively_reasonable=(
-                payload["privacy"]["objectively_reasonable"]
-            ),
-            steps=tuple(
-                _step_from_dict(s) for s in payload["privacy"]["steps"]
-            ),
-        ),
-        steps=tuple(_step_from_dict(s) for s in payload["steps"]),
-    )
+#: The complete JSON-serializable encoding of a ruling.
+ruling_to_dict = codec(Ruling).encode
+
+#: Rebuild a :class:`Ruling` that compares equal to the encoded one.
+ruling_from_dict = codec(Ruling).decode
 
 
 class _Texts:
@@ -208,63 +224,6 @@ def ruling_to_utf8(ruling: Ruling) -> bytes:
 def ruling_from_json(text: str) -> Ruling:
     """Decode :func:`ruling_to_json` output."""
     return ruling_from_dict(json.loads(text))
-
-
-# -- instruments and custody -----------------------------------------------------
-#
-# Process-global ids (``instrument_id``, ``evidence_id``) are
-# deliberately excluded from the canonical forms: they are allocated by
-# per-process ``itertools.count`` counters and would differ on every
-# reload.  Identity in the ledger comes from caller-supplied string
-# keys instead.
-
-
-def instrument_to_dict(instrument: "IssuedProcess") -> dict:
-    """Canonical encoding of an issued instrument (id excluded)."""
-    return {
-        "kind": instrument.kind.name,
-        "issued_to": instrument.issued_to,
-        "issued_at": instrument.issued_at,
-        "expires_at": instrument.expires_at,
-        "scope": instrument.scope,
-        "revoked": instrument.revoked,
-    }
-
-
-def instrument_from_dict(payload: dict) -> "IssuedProcess":
-    """Rebuild an instrument (with a fresh process-local id)."""
-    from repro.court.docket import IssuedProcess
-
-    return IssuedProcess(
-        kind=ProcessKind[payload["kind"]],
-        issued_to=payload["issued_to"],
-        issued_at=payload["issued_at"],
-        expires_at=payload["expires_at"],
-        scope=payload["scope"],
-        revoked=payload["revoked"],
-    )
-
-
-def custody_entry_to_dict(entry: "CustodyEntry") -> dict:
-    """Canonical encoding of one custody event."""
-    return {
-        "timestamp": entry.timestamp,
-        "custodian": entry.custodian,
-        "event": entry.event,
-        "content_hash": entry.content_hash,
-    }
-
-
-def custody_entry_from_dict(payload: dict) -> "CustodyEntry":
-    """Decode :func:`custody_entry_to_dict` output."""
-    from repro.evidence.custody import CustodyEntry
-
-    return CustodyEntry(
-        timestamp=payload["timestamp"],
-        custodian=payload["custodian"],
-        event=payload["event"],
-        content_hash=payload["content_hash"],
-    )
 
 
 def canonical_json(payload: object) -> str:

@@ -33,6 +33,7 @@ from collections.abc import Iterator
 from pathlib import Path
 
 from repro.core.cache import bounded_put
+from repro.core.enums import ProcessKind
 from repro.core.fingerprint import ActionFingerprint, fingerprint_digest
 from repro.core.ruling import Ruling
 from repro.court.docket import Docket, IssuedProcess
@@ -40,11 +41,8 @@ from repro.evidence.custody import ChainOfCustody, CustodyEntry
 from repro.ledger import schema
 from repro.ledger.serialize import (
     citation_keys,
-    custody_entry_from_dict,
     fingerprint_from_json,
     fingerprint_to_json,
-    instrument_from_dict,
-    instrument_to_dict,
     reasoning_text,
     ruling_from_json,
     ruling_to_utf8,
@@ -397,7 +395,6 @@ class Ledger:
                 "SELECT id FROM dockets WHERE docket_key = ?", (docket_key,)
             ).fetchone()
             docket_id = row["id"] if row is not None else None
-        payload = instrument_to_dict(instrument)
         self._db.execute(
             """
             INSERT INTO instruments (
@@ -416,12 +413,12 @@ class Ledger:
             (
                 instrument_key,
                 docket_id,
-                payload["kind"],
-                payload["issued_to"],
-                payload["issued_at"],
-                payload["expires_at"],
-                payload["scope"],
-                int(payload["revoked"]),
+                instrument.kind.name,
+                instrument.issued_to,
+                instrument.issued_at,
+                instrument.expires_at,
+                instrument.scope,
+                int(instrument.revoked),
             ),
         )
         self.stats.instrument_writes += 1
@@ -435,15 +432,13 @@ class Ledger:
         ).fetchone()
         if row is None:
             return None
-        return instrument_from_dict(
-            {
-                "kind": row["kind"],
-                "issued_to": row["issued_to"],
-                "issued_at": row["issued_at"],
-                "expires_at": row["expires_at"],
-                "scope": row["scope"],
-                "revoked": bool(row["revoked"]),
-            }
+        return IssuedProcess(
+            kind=ProcessKind[row["kind"]],
+            issued_to=row["issued_to"],
+            issued_at=row["issued_at"],
+            expires_at=row["expires_at"],
+            scope=row["scope"],
+            revoked=bool(row["revoked"]),
         )
 
     # -- custody -----------------------------------------------------------------
@@ -505,14 +500,7 @@ class Ledger:
         if row is None:
             return None
         entries = tuple(
-            custody_entry_from_dict(
-                {
-                    "timestamp": entry["timestamp"],
-                    "custodian": entry["custodian"],
-                    "event": entry["event"],
-                    "content_hash": entry["content_hash"],
-                }
-            )
+            CustodyEntry(*entry)  # columns in field order
             for entry in self._db.execute(
                 "SELECT timestamp, custodian, event, content_hash "
                 "FROM custody_entries WHERE chain_id = ? ORDER BY seq",

@@ -20,10 +20,13 @@ ruling) answer ``{"id": ..., "ok": false, "error": "..."}``.  The
 connection survives request-level errors; only an oversized line
 closes it, after an error response.
 
-The action codec below is the inverse problem of the ledger's ruling
-codec: every field of every frozen dataclass, enums by stable ``name``,
-so a decoded action compares equal to — and fingerprints identically
-to — the one the client held.
+Actions are encoded by the ledger's record codec
+(:func:`repro.ledger.serialize.codec`): every field of every frozen
+dataclass, enums by stable ``name``.  Their decoder is written out by
+hand instead: it reads untrusted input on the hottest path, so it
+checks every value's JSON type before using it and shares the frozen
+parts between actions, and a decoded action compares equal to — and
+fingerprints identically to — the one the client held.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from repro.core.enums import (
     ProviderRole,
     Timing,
 )
-from repro.ledger.serialize import canonical_json
+from repro.ledger.serialize import canonical_json, codec
 
 #: Framing bound: one request line must fit a full batch of actions.
 #: Encoded actions run ~800 bytes each, so 4 MiB comfortably holds the
@@ -68,58 +71,9 @@ class ProtocolError(ValueError):
 # -- action codec ----------------------------------------------------------------
 
 
-def action_to_dict(action: InvestigativeAction) -> dict:
-    """The complete JSON-serializable encoding of an action."""
-    context = action.context
-    return {
-        "description": action.description,
-        "actor": action.actor.name,
-        "data_kind": action.data_kind.name,
-        "timing": action.timing.name,
-        "context": {
-            "place": context.place.name,
-            "encrypted": context.encrypted,
-            "knowingly_exposed": context.knowingly_exposed,
-            "shared_with_others": context.shared_with_others,
-            "delivered_to_recipient": context.delivered_to_recipient,
-            "provider_serves_public": context.provider_serves_public,
-            "provider_role": (
-                None
-                if context.provider_role is None
-                else context.provider_role.name
-            ),
-            "policy_eliminates_rep": context.policy_eliminates_rep,
-            "home_interior": context.home_interior,
-            "technology_in_general_public_use": (
-                context.technology_in_general_public_use
-            ),
-            "abandoned": context.abandoned,
-        },
-        "consent": {
-            "scope": action.consent.scope.name,
-            "voluntary": action.consent.voluntary,
-            "exceeds_authority": action.consent.exceeds_authority,
-            "revoked": action.consent.revoked,
-            "covers_target_data": action.consent.covers_target_data,
-        },
-        "doctrine": {
-            "exigent_circumstances": action.doctrine.exigent_circumstances,
-            "plain_view": action.doctrine.plain_view,
-            "target_on_probation": action.doctrine.target_on_probation,
-            "emergency_pen_trap": action.doctrine.emergency_pen_trap,
-            "hash_search_of_lawful_media": (
-                action.doctrine.hash_search_of_lawful_media
-            ),
-            "mining_of_lawful_data": action.doctrine.mining_of_lawful_data,
-            "credentials_lawfully_obtained": (
-                action.doctrine.credentials_lawfully_obtained
-            ),
-            "monitoring_own_network": action.doctrine.monitoring_own_network,
-            "victim_invited_monitoring": (
-                action.doctrine.victim_invited_monitoring
-            ),
-        },
-    }
+#: The complete JSON-serializable encoding of an action: the ledger's
+#: record codec, so every field of every part is on the wire.
+action_to_dict = codec(InvestigativeAction).encode
 
 
 #: Enum name -> member, built once: a plain dict lookup instead of the

@@ -2,14 +2,16 @@
 
 The correctness spine for the batched/cached engine.  A cached engine and
 a fresh engine are run over the same 10,000-action corpus and every
-ruling payload must match byte for byte; a second pass must be served
-(at least partly) from the cache.  ``repro bench`` runs the same gate on
-every benchmark invocation.
+ruling's complete canonical bytes (``ruling_to_utf8``: every field,
+down to each requirement's and exception's reasoning) must match; a
+second pass must be served (at least partly) from the cache.
+``repro bench`` runs the same gate on every benchmark invocation.
 """
 
 import pytest
 
 from repro.core import ComplianceEngine, RulingCache
+from repro.ledger.serialize import ruling_to_utf8
 from repro.workloads import action_corpus
 
 CORPUS_SIZE = 10_000
@@ -25,9 +27,9 @@ class TestCachedVsFresh:
     def test_identical_rulings_over_10k_actions(self, corpus):
         fresh = ComplianceEngine()
         cached = ComplianceEngine(cache=RulingCache(maxsize=2 * CORPUS_SIZE))
-        fresh_payloads = [r.to_dict() for r in fresh.evaluate_many(corpus)]
-        cached_payloads = [r.to_dict() for r in cached.evaluate_many(corpus)]
-        assert fresh_payloads == cached_payloads
+        fresh_bytes = list(map(ruling_to_utf8, fresh.evaluate_many(corpus)))
+        cached_bytes = list(map(ruling_to_utf8, cached.evaluate_many(corpus)))
+        assert fresh_bytes == cached_bytes
 
     def test_second_pass_reports_cache_hits(self, corpus):
         cached = ComplianceEngine(cache=RulingCache(maxsize=2 * CORPUS_SIZE))
@@ -44,9 +46,9 @@ class TestCachedVsFresh:
         sample = corpus[:2000]
         fresh = ComplianceEngine()
         tiny = ComplianceEngine(cache=RulingCache(maxsize=64))
-        fresh_payloads = [r.to_dict() for r in fresh.evaluate_many(sample)]
-        tiny_payloads = [r.to_dict() for r in tiny.evaluate_many(sample)]
-        assert fresh_payloads == tiny_payloads
+        fresh_bytes = list(map(ruling_to_utf8, fresh.evaluate_many(sample)))
+        tiny_bytes = list(map(ruling_to_utf8, tiny.evaluate_many(sample)))
+        assert fresh_bytes == tiny_bytes
         assert tiny.cache_stats.evictions > 0
 
 
@@ -54,8 +56,8 @@ class TestEvaluateMany:
     def test_matches_per_action_loop_and_preserves_order(self, corpus):
         sample = corpus[:1000]
         engine = ComplianceEngine()
-        loop = [engine.evaluate(action).to_dict() for action in sample]
-        batch = [r.to_dict() for r in engine.evaluate_many(sample)]
+        loop = [ruling_to_utf8(engine.evaluate(action)) for action in sample]
+        batch = list(map(ruling_to_utf8, engine.evaluate_many(sample)))
         assert loop == batch
 
     def test_uncached_batch_dedupes_within_the_call(self, corpus):

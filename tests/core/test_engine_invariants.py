@@ -15,8 +15,9 @@ Invariants:
 * instrument monotonicity and ``permits()`` consistency — ``permits(p)``
   holds exactly when ``p`` satisfies ``required_process``, and stronger
   instruments never lose permission a weaker one had;
-* memoization transparency — a cached engine's rulings, traces, and
-  ``explain()`` output are indistinguishable from a fresh engine's.
+* memoization transparency — a cached engine's rulings (their complete
+  canonical bytes), traces, and ``explain()`` output are
+  indistinguishable from a fresh engine's.
 """
 
 import dataclasses
@@ -32,6 +33,7 @@ from repro.core import (
     ProcessKind,
     RulingCache,
 )
+from repro.ledger.serialize import ruling_to_utf8
 from repro.workloads import random_action
 
 _FRESH = ComplianceEngine()
@@ -124,6 +126,6 @@ def test_cache_is_invisible_in_ruling_and_explanation(seed):
     fresh = _FRESH.evaluate(action)
     cached_first = _CACHED.evaluate(action)
     cached_again = _CACHED.evaluate(action)  # served from the LRU
-    assert cached_first.to_dict() == fresh.to_dict()
+    assert ruling_to_utf8(cached_first) == ruling_to_utf8(fresh)
     assert cached_again.explain() == fresh.explain()
     assert cached_again.steps == fresh.steps

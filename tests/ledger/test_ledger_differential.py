@@ -9,9 +9,9 @@ Three engines rule the same 10,000-action corpus:
 * **primed** — a brand-new engine whose cache was warm-primed from that
   ledger before it ruled anything.
 
-All three must agree byte for byte on payloads, labels, and
-``explain()`` output, and the primed engine must actually serve from
-its warmed cache.
+All three must agree byte for byte on complete canonical texts
+(``ruling_to_utf8``) and ``explain()`` output, and the primed engine
+must actually serve from its warmed cache.
 """
 
 import pytest
@@ -19,6 +19,7 @@ import pytest
 from repro.core import ComplianceEngine, RulingCache
 from repro.core.fingerprint import action_fingerprint
 from repro.ledger import Ledger
+from repro.ledger.serialize import ruling_to_utf8
 from repro.workloads import action_corpus
 
 CORPUS_SIZE = 10_000
@@ -52,7 +53,7 @@ class TestLedgerReloadedVsFresh:
         for action, fresh in zip(corpus, fresh_rulings):
             reloaded = ledger.ruling_for(action_fingerprint(action))
             assert reloaded is not None
-            assert reloaded.to_dict() == fresh.to_dict()
+            assert ruling_to_utf8(reloaded) == ruling_to_utf8(fresh)
             assert reloaded.explain() == fresh.explain()
 
     def test_ledger_holds_every_unique_fingerprint(self, corpus, ledger):
@@ -72,7 +73,7 @@ class TestWarmPrimedVsFresh:
 
         primed_rulings = primed.evaluate_many(corpus)
         for fresh, warm in zip(fresh_rulings, primed_rulings):
-            assert warm.to_dict() == fresh.to_dict()
+            assert ruling_to_utf8(warm) == ruling_to_utf8(fresh)
             assert warm.explain() == fresh.explain()
         # Every action was primed, so nothing should have been computed.
         assert primed.cache_stats.hits == CORPUS_SIZE
@@ -100,5 +101,7 @@ class TestPersistenceAcrossProcessBoundary:
             primed = ComplianceEngine(cache=RulingCache(), ledger=led)
             primed.prime_from_ledger()
             warm = primed.evaluate_many(corpus)
-        assert [r.to_dict() for r in warm] == [r.to_dict() for r in fresh]
+        assert list(map(ruling_to_utf8, warm)) == list(
+            map(ruling_to_utf8, fresh)
+        )
         assert [r.explain() for r in warm] == [r.explain() for r in fresh]

@@ -120,6 +120,24 @@ class TestPipelinePersistence:
         assert all("sca_2703" in row.citations for row in rows)
 
 
+class TestPipelineOnALedgeredEngine:
+    def test_each_ruling_is_written_once_in_both_modes(self):
+        # The engine records every fresh ruling on the ledger it shares
+        # with the pipeline, so the pipeline must not record it again.
+        with Ledger(":memory:") as ledger:
+            engine = ComplianceEngine(cache=RulingCache(), ledger=ledger)
+            pipeline = InvestigationPipeline(
+                engine=engine, ledger=ledger, run_label="t"
+            )
+            scenarios = build_table1()
+            pipeline.run_all(scenarios, obtain_process=True)
+            pipeline.run_all(scenarios, obtain_process=False)
+            distinct = {action_fingerprint(s.action) for s in scenarios}
+            assert ledger.stats.ruling_writes == len(distinct) == 16
+            assert ledger.stats.ruling_duplicates == 0
+            assert ledger.counts()["suppression_outcomes"] == 40
+
+
 class TestWorkflowPersistence:
     def test_run_persists_custody_and_verdict(self):
         from repro.workflow.engine import WorkflowEngine
