@@ -44,7 +44,8 @@ import hashlib
 from collections.abc import Callable
 from operator import itemgetter
 
-from repro.core.action import InvestigativeAction
+from repro.core.action import DoctrineFacts, InvestigativeAction
+from repro.core.context import EnvironmentContext
 from repro.core.enums import (
     Actor,
     ConsentScope,
@@ -63,33 +64,17 @@ from repro.core.enums import (
 #: positional, so same-valued members of *different* enums cannot collide.
 ActionFingerprint = tuple
 
+#: The fields :func:`action_fingerprint` fills, in slot order: the head's
+#: enums, the context, the three consent facts the rules read, the doctrine.
 _FIELD_NAMES = (
     "actor",
     "data_kind",
     "timing",
-    "place",
-    "encrypted",
-    "knowingly_exposed",
-    "shared_with_others",
-    "delivered_to_recipient",
-    "provider_serves_public",
-    "provider_role",
-    "policy_eliminates_rep",
-    "home_interior",
-    "technology_in_general_public_use",
-    "abandoned",
+    *(field.name for field in dataclasses.fields(EnvironmentContext)),
     "consent_effective",
     "consent_scope",
     "consent_covers_target_data",
-    "exigent_circumstances",
-    "plain_view",
-    "target_on_probation",
-    "emergency_pen_trap",
-    "hash_search_of_lawful_media",
-    "mining_of_lawful_data",
-    "credentials_lawfully_obtained",
-    "monitoring_own_network",
-    "victim_invited_monitoring",
+    *(field.name for field in dataclasses.fields(DoctrineFacts)),
 )
 
 

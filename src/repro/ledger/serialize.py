@@ -83,6 +83,16 @@ def _as_tuple(getter: Callable[..., Any], names: tuple[str, ...]) -> Any:
     return getter(*names)
 
 
+def _optional(hint: Any) -> Any:
+    """``X`` for an ``X | None`` hint, else ``None``."""
+    args = typing.get_args(hint)
+    if typing.get_origin(hint) not in (typing.Union, types.UnionType):
+        return None
+    if len(args) != 2 or type(None) not in args:
+        return None
+    return args[0] if args[1] is type(None) else args[1]
+
+
 def _field_codec(hint: Any) -> tuple[_Convert, _Convert]:
     """The (encode, decode) conversions for one annotated field type.
 
@@ -107,18 +117,29 @@ def _field_codec(hint: Any) -> tuple[_Convert, _Convert]:
             array if enc is None else lambda v: array(map(enc, v)),
             origin if dec is None else lambda v: origin(map(dec, v)),
         )
-    if (
-        origin in (typing.Union, types.UnionType)
-        and len(args) == 2
-        and type(None) in args
-    ):
-        (inner,) = (arg for arg in args if arg is not type(None))
+    inner = _optional(hint)
+    if inner is not None:
         enc, dec = _field_codec(inner)
         return (
             None if enc is None else lambda v: None if v is None else enc(v),
             None if dec is None else lambda v: None if v is None else dec(v),
         )
     raise TypeError(f"no canonical JSON form for field type {hint!r}")
+
+
+def json_types(hint: Any) -> tuple[type, ...]:
+    """The types ``json`` may decode a leaf field's value to, for a strict
+    ``type(value)`` check: ``str`` for ``str`` and enums (by name), ``bool``
+    for ``bool``, then ``NoneType`` for ``X | None``.  Any other type raises
+    ``TypeError``: a number or container would need a different check."""
+    if hint in (str, bool):
+        return (hint,)
+    if isinstance(hint, type) and issubclass(hint, enum.Enum):
+        return (str,)
+    inner = _optional(hint)
+    if inner is not None:
+        return (*json_types(inner), type(None))
+    raise TypeError(f"no strict JSON type check for field type {hint!r}")
 
 
 @functools.cache

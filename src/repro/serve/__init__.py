@@ -23,8 +23,9 @@ process that many consumers share.  This package provides that:
 * :mod:`repro.serve.bench` — the ``repro serve-bench`` byte-identity
   gate: replays a seeded corpus cold and then hot against a server,
   writes ``BENCH_serve.json``, and fails unless every served ruling is
-  byte-identical to in-process ``evaluate_many()``.  It times nothing;
-  ``servebench/`` is the serve benchmark.
+  byte-identical to in-process ``evaluate_many()`` and the served
+  rulings on the paper's own actions give its conclusions.  It times
+  nothing; ``servebench/`` is the serve benchmark.
 """
 
 from repro.serve.protocol import (

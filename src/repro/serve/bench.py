@@ -12,12 +12,15 @@ hot (cache-warm) one.  Writes ``BENCH_serve.json`` with:
   corpus, with mismatches reported per replay;
 * a **metrics-endpoint check** (spawn mode) that ``/metrics`` serves
   Prometheus text containing the per-shard cache and action counters
-  and the serve histograms.
+  and the serve histograms;
+* the **paper's conclusions**, read from the rulings the server gives
+  for :func:`repro.workloads.paper_corpus` (replayed after the corpus):
+  Table 1 at 20/20, IV.A needing no process and IV.B a court order.
 
-Any mismatch, failed or out-of-order response, or missing instrument
-fails the run (nonzero exit, same pattern as ``repro bench``).  Sharding,
-batching, caching and the wire codec are all allowed to change *how
-fast* an answer arrives, never *what* the answer is.
+Any mismatch, failed or out-of-order response, missing instrument or
+missed conclusion fails the run (nonzero exit, same pattern as ``repro
+bench``).  Sharding, batching, caching and the wire codec are all
+allowed to change *how fast* an answer arrives, never *what* it is.
 
 Nothing here is timed: ``python3 servebench/run.py`` is the serve
 benchmark (throughput, round-trip latency, shard balance, cache hit
@@ -32,11 +35,13 @@ from collections import deque
 
 from repro.core.cache import RulingCache
 from repro.core.engine import ComplianceEngine
+from repro.core.enums import ProcessKind
+from repro.core.scenarios import build_table1
 from repro.ledger.serialize import canonical_json, ruling_to_dict
 from repro.serve.client import ServeClient
 from repro.serve.harness import ServerThread
 from repro.serve.server import ServerConfig
-from repro.workloads import action_corpus
+from repro.workloads import action_corpus, paper_corpus
 
 #: Full run: the 10k-action corpus the engine differential suite seeds.
 FULL_CORPUS = (10_000, 7)
@@ -91,6 +96,36 @@ def _replay(client: ServeClient, batches: list[list]) -> list[str]:
     return served
 
 
+def _paper_conclusions(corpus: list[tuple[str, object]], served: list[str]) -> dict:
+    """The paper's conclusions, read from the served rulings on its corpus.
+
+    A technique needs the strongest process any of its actions needs, as
+    ``Technique.required_process`` takes it; an unknown name ranks first.
+    """
+    names: dict[str, list[str]] = {"table1": [], "iv_a": [], "iv_b": []}
+    for (section, _), text in zip(corpus, served):
+        names[section].append(json.loads(text)["required_process"])
+    scenes = build_table1()
+    agreement = sum(
+        (name != "NONE") == scene.paper_needs_process
+        for name, scene in zip(names["table1"], scenes)
+    )
+    rank = {kind.name: kind for kind in ProcessKind}
+    iv_a, iv_b = (
+        max(names[key], key=lambda n: rank.get(n, len(rank)), default="NONE")
+        for key in ("iv_a", "iv_b")
+    )
+    return {
+        "actions": len(served),
+        "table1": f"{agreement}/{len(scenes)}",
+        "iv_a": iv_a,
+        "iv_b": iv_b,
+        "ok": len(served) == len(corpus)
+        and agreement == len(scenes)
+        and (iv_a, iv_b) == ("NONE", "COURT_ORDER"),
+    }
+
+
 def _check_metrics_endpoint(address: tuple[str, int] | None) -> dict:
     """Scrape ``/metrics`` and verify the serve instruments are present."""
     if address is None:
@@ -132,6 +167,7 @@ def run_serve_bench(
     """
     corpus_size, seed = QUICK_CORPUS if quick else FULL_CORPUS
     corpus = action_corpus(corpus_size, seed=seed)
+    paper = paper_corpus()
     batches = [
         corpus[i : i + BATCH_SIZE] for i in range(0, len(corpus), BATCH_SIZE)
     ]
@@ -153,6 +189,7 @@ def run_serve_bench(
                 "cold": _replay(client, batches),
                 "hot": _replay(client, batches),
             }
+            paper_served = _replay(client, [[action for _, action in paper]])
         metrics_check = _check_metrics_endpoint(metrics_address)
     finally:
         if server_thread is not None:
@@ -174,8 +211,9 @@ def run_serve_bench(
         for name, served in replays.items()
     }
     mismatches = sum(r["mismatches"] for r in per_replay.values())
+    conclusions = _paper_conclusions(paper, paper_served)
 
-    ok = mismatches == 0 and metrics_check["ok"]
+    ok = mismatches == 0 and metrics_check["ok"] and conclusions["ok"]
     report = {
         "meta": {
             "quick": quick,
@@ -189,6 +227,7 @@ def run_serve_bench(
             "mismatches": mismatches,
             "ok": mismatches == 0,
         },
+        "paper": conclusions,
         "ok": ok,
     }
     if out:
@@ -207,6 +246,7 @@ def render_serve_report(report: dict) -> str:
         for name, replay in differential["replays"].items()
     )
     metrics = report["metrics_endpoint"]
+    paper = report["paper"]
     lines = [
         "repro serve-bench — live-server byte-identity gate",
         (
@@ -227,6 +267,11 @@ def render_serve_report(report: dict) -> str:
             f"compared, {differential['mismatches']} mismatches "
             f"({per_replay}) "
             f"-> {'byte-identical' if differential['ok'] else 'FAILED'}"
+        ),
+        (
+            f"  paper: {paper['actions']} actions, table1 {paper['table1']}, "
+            f"IV.A {paper['iv_a']}, IV.B {paper['iv_b']} "
+            f"-> {'ok' if paper['ok'] else 'FAILED'}"
         ),
         f"  overall: {'ok' if report['ok'] else 'FAILED'}",
     ]

@@ -22,11 +22,12 @@ closes it, after an error response.
 
 Actions are encoded by the ledger's record codec
 (:func:`repro.ledger.serialize.codec`): every field of every frozen
-dataclass, enums by stable ``name``.  Their decoder is written out by
-hand instead: it reads untrusted input on the hottest path, so it
-checks every value's JSON type before using it and shares the frozen
-parts between actions, and a decoded action compares equal to — and
-fingerprints identically to — the one the client held.
+dataclass, enums by stable ``name``.  Their decoder, which reads
+untrusted input on the hottest path, derives its field table, JSON
+types and part construction from the same dataclasses, but checks every
+value's type by hand before using any (``1`` never passes for ``true``)
+and shares frozen parts between actions.  A decoded action compares
+equal to — and fingerprints identically to — the one the client held.
 """
 
 from __future__ import annotations
@@ -34,21 +35,14 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import typing
 from operator import itemgetter
 from typing import Any
 
 from repro.core.action import ConsentFacts, DoctrineFacts, InvestigativeAction
 from repro.core.cache import bounded_put
 from repro.core.context import EnvironmentContext
-from repro.core.enums import (
-    Actor,
-    ConsentScope,
-    DataKind,
-    Place,
-    ProviderRole,
-    Timing,
-)
-from repro.ledger.serialize import canonical_json, codec
+from repro.ledger.serialize import canonical_json, codec, json_types
 
 #: Framing bound: one request line must fit a full batch of actions.
 #: Encoded actions run ~800 bytes each, so 4 MiB comfortably holds the
@@ -76,14 +70,12 @@ class ProtocolError(ValueError):
 action_to_dict = codec(InvestigativeAction).encode
 
 
-#: Enum name -> member, built once: a plain dict lookup instead of the
-#: ``Enum[name]`` metaclass call on every decoded field.
-_ACTORS = dict(Actor.__members__)
-_DATA_KINDS = dict(DataKind.__members__)
-_TIMINGS = dict(Timing.__members__)
-_PLACES = dict(Place.__members__)
-_PROVIDER_ROLES = dict(ProviderRole.__members__)
-_CONSENT_SCOPES = dict(ConsentScope.__members__)
+#: Name -> member for the head's enum fields, from their annotations: a
+#: plain dict lookup instead of the ``Enum[name]`` metaclass call.
+_ACTORS, _DATA_KINDS, _TIMINGS = (
+    dict(typing.get_type_hints(InvestigativeAction)[name].__members__)
+    for name in ("actor", "data_kind", "timing")
+)
 
 # One frozen part per distinct tuple of raw, type-checked field values
 # (enums by name).  Parts repeat heavily across traffic (36k distinct
@@ -101,12 +93,6 @@ class FieldTypeError(ProtocolError):
     """An action field holding a JSON value of the wrong type."""
 
 
-#: The JSON types a field may hold, by the Python type ``json`` decodes.
-_NAME = (str,)
-_FLAG = (bool,)
-_OPTIONAL_NAME = (str, type(None))
-_OPTIONAL_FLAG = (bool, type(None))
-
 _JSON_TYPE_NAMES = {
     str: "a string",
     bool: "true or false",
@@ -118,61 +104,34 @@ _JSON_TYPE_NAMES = {
 }
 
 
-def _flags(part: str, *names: str) -> tuple[tuple[str, tuple], ...]:
-    return tuple((f"{part}.{name}", _FLAG) for name in names)
+def _fields(cls: type, prefix: str = "") -> tuple[tuple[str, tuple], ...]:
+    """Each leaf field of ``cls`` in declaration order, with the JSON types
+    it may hold (:func:`repro.ledger.serialize.json_types`, which raises
+    ``TypeError`` for a type it has no check for).  Nested dataclass
+    fields are skipped: each part has its own table."""
+    hints = typing.get_type_hints(cls)
+    return tuple(
+        (prefix + field.name, json_types(hints[field.name]))
+        for field in dataclasses.fields(cls)
+        if not dataclasses.is_dataclass(hints[field.name])
+    )
 
 
 # Every action field with the JSON types it may hold: the top level,
-# then the context, consent and doctrine parts, each part's fields in
-# declaration order, so a part's value tuple doubles as its positional
-# constructor arguments once the enum names are resolved.
-_HEAD_FIELDS = (
-    ("description", _NAME),
-    ("actor", _NAME),
-    ("data_kind", _NAME),
-    ("timing", _NAME),
+# then the context, consent and doctrine parts.
+_PART_FIELDS = (
+    _fields(InvestigativeAction),
+    _fields(EnvironmentContext, "context."),
+    _fields(ConsentFacts, "consent."),
+    _fields(DoctrineFacts, "doctrine."),
 )
-_CONTEXT_FIELDS = (
-    ("context.place", _NAME),
-    *_flags(
-        "context",
-        "encrypted",
-        "knowingly_exposed",
-        "shared_with_others",
-        "delivered_to_recipient",
-    ),
-    ("context.provider_serves_public", _OPTIONAL_FLAG),
-    ("context.provider_role", _OPTIONAL_NAME),
-    *_flags(
-        "context",
-        "policy_eliminates_rep",
-        "home_interior",
-        "technology_in_general_public_use",
-        "abandoned",
-    ),
+_FIELDS = sum(_PART_FIELDS, ())
+
+#: Each reads one part's raw field values in a single C-level call.
+_HEAD, _CONTEXT, _CONSENT, _DOCTRINE = (
+    itemgetter(*(path.rpartition(".")[2] for path, _ in fields))
+    for fields in _PART_FIELDS
 )
-_CONSENT_FIELDS = (
-    ("consent.scope", _NAME),
-    *_flags(
-        "consent", "voluntary", "exceeds_authority", "revoked",
-        "covers_target_data",
-    ),
-)
-_DOCTRINE_FIELDS = _flags(
-    "doctrine", *(field.name for field in dataclasses.fields(DoctrineFacts))
-)
-_FIELDS = _HEAD_FIELDS + _CONTEXT_FIELDS + _CONSENT_FIELDS + _DOCTRINE_FIELDS
-
-
-def _values(fields: tuple[tuple[str, tuple], ...]) -> itemgetter:
-    """Reads one part's raw field values in a single C-level call."""
-    return itemgetter(*(path.rpartition(".")[2] for path, _ in fields))
-
-
-_HEAD = _values(_HEAD_FIELDS)
-_CONTEXT = _values(_CONTEXT_FIELDS)
-_CONSENT = _values(_CONSENT_FIELDS)
-_DOCTRINE = _values(_DOCTRINE_FIELDS)
 
 #: Every valid tuple of the types of an action's field values, in
 #: ``_FIELDS`` order.  The check runs before any value tuple is used as
@@ -189,24 +148,6 @@ def _type_error(values: tuple) -> FieldTypeError:
             found = _JSON_TYPE_NAMES.get(type(value), "another type")
             return FieldTypeError(f"{path} must be {expected}, not {found}")
     raise AssertionError("no field has the wrong type")  # pragma: no cover
-
-
-def _context(values: tuple) -> EnvironmentContext:
-    role = values[6]
-    return EnvironmentContext(
-        _PLACES[values[0]],
-        *values[1:6],
-        None if role is None else _PROVIDER_ROLES[role],
-        *values[7:],
-    )
-
-
-def _consent(values: tuple) -> ConsentFacts:
-    return ConsentFacts(_CONSENT_SCOPES[values[0]], *values[1:])
-
-
-def _doctrine(values: tuple) -> DoctrineFacts:
-    return DoctrineFacts(*values)
 
 
 def action_from_dict(payload: dict) -> InvestigativeAction:
@@ -240,11 +181,17 @@ def action_from_dict(payload: dict) -> InvestigativeAction:
             _DATA_KINDS[head[2]],
             _TIMINGS[head[3]],
             _CONTEXTS.get(context)
-            or bounded_put(_CONTEXTS, context, _context(context)),
+            or bounded_put(
+                _CONTEXTS, context, codec(EnvironmentContext).decode(payload["context"])
+            ),
             _CONSENTS.get(consent)
-            or bounded_put(_CONSENTS, consent, _consent(consent)),
+            or bounded_put(
+                _CONSENTS, consent, codec(ConsentFacts).decode(payload["consent"])
+            ),
             _DOCTRINES.get(doctrine)
-            or bounded_put(_DOCTRINES, doctrine, _doctrine(doctrine)),
+            or bounded_put(
+                _DOCTRINES, doctrine, codec(DoctrineFacts).decode(payload["doctrine"])
+            ),
         )
     except (KeyError, TypeError) as exc:
         raise ProtocolError(f"malformed action: {exc}") from exc

@@ -8,6 +8,7 @@ same ruling.
 """
 
 import dataclasses
+import enum
 import hashlib
 import random
 
@@ -77,6 +78,57 @@ class TestFingerprintBasics:
         described = describe_fingerprint(fingerprint)
         assert len(described) == len(fingerprint)
         assert described["place"] is Place.THIRD_PARTY_PROVIDER
+
+
+#: Fields the fingerprint normalizes instead of copying (module docstring).
+_NORMALIZED = {
+    "provider_serves_public",
+    "provider_role",
+    "technology_in_general_public_use",
+}
+
+
+def _flipped(value):
+    """Another value for a field: the other flag, or the next enum member."""
+    if isinstance(value, bool):
+        return not value
+    members = list(type(value))
+    return members[(members.index(value) + 1) % len(members)]
+
+
+class TestFieldNames:
+    """Each fingerprint slot holds the field ``_FIELD_NAMES`` names there."""
+
+    def test_one_name_per_slot(self):
+        names = fingerprint_module._FIELD_NAMES
+        assert len(names) == len(action_fingerprint(_base_action()))
+        assert len(set(names)) == len(names)
+
+    def test_flipping_a_copied_field_changes_exactly_its_slot(self):
+        action = _base_action()
+        base = action_fingerprint(action)
+        names = fingerprint_module._FIELD_NAMES
+        flipped = []
+        for part in (None, "context", "doctrine"):
+            holder = action if part is None else getattr(action, part)
+            for field in dataclasses.fields(holder):
+                value = getattr(holder, field.name)
+                if field.name in _NORMALIZED or not isinstance(
+                    value, (bool, enum.Enum)
+                ):
+                    continue  # normalized, the description or a part
+                changed = dataclasses.replace(
+                    holder, **{field.name: _flipped(value)}
+                )
+                if part is not None:
+                    changed = dataclasses.replace(action, **{part: changed})
+                after = action_fingerprint(changed)
+                moved = [
+                    i for i, (x, y) in enumerate(zip(base, after)) if x != y
+                ]
+                assert moved == [names.index(field.name)], field.name
+                flipped.append(field.name)
+        assert len(flipped) == 3 + 8 + 9  # head, context, doctrine
 
 
 class TestNormalizations:

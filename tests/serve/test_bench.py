@@ -3,8 +3,11 @@
 import json
 
 from repro.cli import main
-from repro.serve.bench import run_serve_bench
+from repro.core.engine import ComplianceEngine
+from repro.ledger.serialize import ruling_to_json
+from repro.serve.bench import _paper_conclusions, run_serve_bench
 from repro.serve.server import RulingServer
+from repro.workloads import paper_corpus
 
 
 def test_quick_spawned_run_diffs_both_replays(tmp_path):
@@ -20,7 +23,44 @@ def test_quick_spawned_run_diffs_both_replays(tmp_path):
     }
     assert report["metrics_endpoint"]["checked"] is True
     assert report["metrics_endpoint"]["ok"] is True
+    assert report["paper"] == {
+        "actions": len(paper_corpus()),
+        "table1": "20/20",
+        "iv_a": "NONE",
+        "iv_b": "COURT_ORDER",
+        "ok": True,
+    }
     assert json.loads(out.read_text()) == report
+
+
+def _served_paper_rulings():
+    corpus = paper_corpus()
+    engine = ComplianceEngine()
+    return corpus, [ruling_to_json(engine.evaluate(a)) for _, a in corpus]
+
+
+def _with_process(text, name):
+    ruling = json.loads(text)
+    ruling["required_process"] = name
+    return json.dumps(ruling)
+
+
+def test_the_paper_check_reads_every_conclusion_from_the_served_rulings():
+    corpus, served = _served_paper_rulings()
+    assert _paper_conclusions(corpus, served)["ok"] is True
+    sections = [section for section, _ in corpus]
+    first_iv_a, first_iv_b = sections.index("iv_a"), sections.index("iv_b")
+    wrong = {
+        "table1": (0, "SEARCH_WARRANT"),
+        "iv_a": (first_iv_a, "COURT_ORDER"),
+        "iv_b": (first_iv_b, "WARRANT"),  # no process kind: ranks first
+    }
+    for key, (index, name) in wrong.items():
+        tampered = list(served)
+        tampered[index] = _with_process(served[index], name)
+        conclusions = _paper_conclusions(corpus, tampered)
+        assert conclusions["ok"] is False, key
+    assert _paper_conclusions(corpus, served[:-1])["ok"] is False
 
 
 def test_a_tampered_hot_replay_fails_the_gate(monkeypatch):
